@@ -35,17 +35,30 @@ constexpr const char* kReduceDropped =
     "per-execution transitive reductions skipped; the model is conformal "
     "but keeps edges a full run would have removed";
 
+// What every walk over the store shares: the --max-executions prefix, the
+// worker pool, and the running tally of window visits.
+struct Walk {
+  SegmentStore* store = nullptr;
+  int64_t limit = 0;
+  ThreadPool* pool = nullptr;
+  size_t chunk_size = 0;
+  OocMineStats* stats = nullptr;
+  int64_t visits = 0;
+};
+
 // Applies `fn` to each non-empty segment window in store order, visiting at
-// most `limit` executions overall (the tail window is trimmed to fit). `fn`
-// returns whether to keep iterating. Window visits are tallied in `stats`.
-Status ForEachWindow(SegmentStore* store, int64_t limit, OocMineStats* stats,
+// most `walk->limit` executions overall (the tail window is trimmed to fit).
+// `fn` returns whether to keep iterating.
+Status ForEachWindow(Walk* walk,
                      const std::function<Result<bool>(const EventLog&)>& fn) {
-  int64_t remaining = limit;
+  SegmentStore* store = walk->store;
+  int64_t remaining = walk->limit;
   for (size_t i = 0; i < store->num_segments() && remaining > 0; ++i) {
     PROCMINE_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> window,
                               store->Segment(i));
     if (window->num_executions() == 0) continue;
-    if (stats != nullptr) ++stats->windows;
+    ++walk->visits;
+    if (walk->stats != nullptr) ++walk->stats->windows;
     static obs::Counter* visited =
         obs::MetricsRegistry::Get().GetCounter("ooc.windows_visited");
     visited->Increment();
@@ -67,125 +80,125 @@ Status ForEachWindow(SegmentStore* store, int64_t limit, OocMineStats* stats,
   return Status::OK();
 }
 
-// A window as some pass wants to see it: either the decoded window itself
-// (identity) or a rewrite into `scratch` (the cyclic relabel).
-using WindowView =
-    std::function<const EventLog*(const EventLog& window, EventLog* scratch)>;
-
-std::unique_ptr<ThreadPool> MaybePool(int num_threads, int64_t executions) {
-  const int resolved = ResolveThreadCount(num_threads);
-  if (resolved > 1 &&
-      executions >=
-          static_cast<int64_t>(ThreadPool::kSmallInputInlineThreshold)) {
-    return std::make_unique<ThreadPool>(resolved);
+// Window visits one full walk makes, per the manifest: the non-empty
+// segments that hold the first `limit` executions.
+int64_t WindowsPerWalk(const SegmentStore& store, int64_t limit) {
+  int64_t windows = 0;
+  for (const SegmentInfo& segment : store.segments()) {
+    if (limit <= 0) break;
+    if (segment.executions == 0) continue;
+    ++windows;
+    limit -= segment.executions;
   }
-  return nullptr;
+  return windows;
 }
 
-// Steps 1-2 over every window: per-window CollectPrecedenceEdges, counters
+// Rewrites `window` into `scratch` in the labeled id space. Collection and
+// reduction read only activity ids, so no dictionary is attached.
+const EventLog* Relabel(const EventLog& window, OccurrenceLabeler* labeler,
+                        EventLog* scratch) {
+  *scratch = EventLog();
+  for (const Execution& exec : window.executions()) {
+    scratch->AddExecution(labeler->Relabel(exec));
+  }
+  return scratch;
+}
+
+// What the scan walk settled: the algorithm, and steps 1-2's counts in that
+// algorithm's id space (labeled ids on the cyclic path).
+struct Scan {
+  MinerAlgorithm algorithm = MinerAlgorithm::kAuto;
+  bool complete = false;  // false: kAuto stopped at a repeat; scan again
+  EdgeCounts counts;
+  int64_t executions = 0;
+  int64_t events = 0;
+  OccurrenceLabeler labeler;  // fed on the cyclic path only
+};
+
+// The scan walk, which reads the log ahead of the reduce walk. Each window
+// first has every execution checked the way `algorithm`'s in-memory path
+// would, so the first bad execution in log order is the one reported:
+//   kAuto    SelectAlgorithm's checks, which imply both validations; the
+//            first repeated activity stops the walk (the log is cyclic)
+//   general  ValidateNoRepeats
+//   special  ValidateExactlyOnce
+//   cyclic   OccurrenceLabeler::Observe; the window is then relabeled.
+//            Labels are interned in log order, so they match the ids a full
+//            labeling pass would assign.
+// Then the window's precedence pairs are collected (steps 1-2), counters
 // summed. Windows partition the executions, and the per-execution dedup in
-// CollectSpan never crosses executions, so the summed counts equal the
-// one-shot in-memory collection.
-Status CollectWindows(SegmentStore* store, int64_t limit, ThreadPool* pool,
-                      size_t chunk_size, const WindowView& view,
-                      OocMineStats* stats, EdgeCounts* total) {
+// CollectSpan never crosses executions, so the sums equal the one-shot
+// in-memory collection.
+Status ScanWindows(Walk* walk, MinerAlgorithm algorithm, Scan* scan) {
   PROCMINE_SPAN("ooc.collect");
   PROCMINE_PHASE("ooc.collect");
-  EventLog scratch;
-  return ForEachWindow(
-      store, limit, stats, [&](const EventLog& w) -> Result<bool> {
-        const EventLog* log = view(w, &scratch);
-        if (stats != nullptr) {
-          stats->executions += static_cast<int64_t>(log->num_executions());
-          stats->events += 2 * log->TotalInstances();
+  const NodeId n = walk->store->dictionary().size();
+  bool repeats = false;
+  bool all_exactly_once = true;
+  std::vector<bool> seen(static_cast<size_t>(n));
+  EventLog labeled;
+  PROCMINE_RETURN_NOT_OK(ForEachWindow(
+      walk, [&](const EventLog& w) -> Result<bool> {
+        for (const Execution& exec : w.executions()) {
+          switch (algorithm) {
+            case MinerAlgorithm::kAuto:
+              std::fill(seen.begin(), seen.end(), false);
+              for (const ActivityInstance& inst : exec.instances()) {
+                if (seen[static_cast<size_t>(inst.activity)]) {
+                  repeats = true;
+                  return false;
+                }
+                seen[static_cast<size_t>(inst.activity)] = true;
+              }
+              if (exec.size() != static_cast<size_t>(n)) {
+                all_exactly_once = false;
+              }
+              break;
+            case MinerAlgorithm::kGeneralDag:
+              PROCMINE_RETURN_NOT_OK(
+                  mine_internal::ValidateNoRepeats(exec, w.dictionary(), n));
+              break;
+            case MinerAlgorithm::kSpecialDag:
+              PROCMINE_RETURN_NOT_OK(mine_internal::ValidateExactlyOnce(
+                  exec, w.dictionary(), n));
+              break;
+            case MinerAlgorithm::kCyclic:
+              scan->labeler.Observe(exec, w.dictionary());
+              break;
+          }
         }
-        static obs::Counter* mined =
-            obs::MetricsRegistry::Get().GetCounter("ooc.executions_mined");
-        mined->Add(static_cast<int64_t>(log->num_executions()));
+        const EventLog* log = algorithm == MinerAlgorithm::kCyclic
+                                  ? Relabel(w, &scan->labeler, &labeled)
+                                  : &w;
+        scan->executions += static_cast<int64_t>(log->num_executions());
+        scan->events += 2 * log->TotalInstances();
         EdgeCounts counts =
-            CollectPrecedenceEdges(*log, pool, nullptr, chunk_size);
-        for (const auto& [key, count] : counts) (*total)[key] += count;
+            CollectPrecedenceEdges(*log, walk->pool, nullptr,
+                                   walk->chunk_size);
+        for (const auto& [key, count] : counts) scan->counts[key] += count;
         return true;
-      });
+      }));
+  scan->complete = !repeats;
+  if (algorithm == MinerAlgorithm::kCyclic) {
+    static obs::Counter* labels =
+        obs::MetricsRegistry::Get().GetCounter("cyclic.labels_created");
+    labels->Add(scan->labeler.labeled_dictionary().size());
+  }
+  scan->algorithm = algorithm != MinerAlgorithm::kAuto ? algorithm
+                    : repeats ? MinerAlgorithm::kCyclic
+                    : all_exactly_once ? MinerAlgorithm::kSpecialDag
+                                       : MinerAlgorithm::kGeneralDag;
+  return Status::OK();
 }
 
-// Steps 5-6 over every window: MarkReductionEdges per shard against the
-// global post-SCC DAG, one memo shared across windows, marked sets unioned.
-Status ReduceWindows(SegmentStore* store, int64_t limit, ThreadPool* pool,
-                     size_t chunk_size, const WindowView& view,
-                     const DirectedGraph& g, RunBudget* budget,
-                     OocMineStats* stats, bool* budget_aborted,
-                     std::unordered_set<uint64_t>* marked) {
-  PROCMINE_SPAN("general_dag.reduce");
-  PROCMINE_PHASE("ooc.reduce");
-  ReductionMemo memo;
-  EventLog scratch;
-  const int threads = pool == nullptr ? 1 : pool->num_threads();
-  return ForEachWindow(
-      store, limit, stats, [&](const EventLog& w) -> Result<bool> {
-        const EventLog* log = view(w, &scratch);
-        std::vector<ExecutionSpan> spans = log->Shards(
-            PlanChunks(log->num_executions(), threads, chunk_size));
-        std::vector<std::unordered_set<uint64_t>> shard_marked(spans.size());
-        std::vector<Status> shard_status(spans.size());
-        std::vector<uint8_t> shard_aborted(spans.size(), 0);
-        auto run_shard = [&](size_t s) {
-          bool aborted = false;
-          shard_status[s] = mine_internal::MarkReductionEdges(
-              *log, g, spans[s], &memo, budget, &aborted, &shard_marked[s]);
-          shard_aborted[s] = aborted ? 1 : 0;
-        };
-        if (pool != nullptr && spans.size() > 1) {
-          pool->ParallelForChunked(spans.size(), run_shard);
-        } else {
-          for (size_t s = 0; s < spans.size(); ++s) run_shard(s);
-        }
-        for (const Status& st : shard_status) {
-          if (!st.ok()) return st;
-        }
-        for (uint8_t aborted : shard_aborted) {
-          if (aborted != 0) {
-            *budget_aborted = true;
-            return false;
-          }
-        }
-        for (auto& shard : shard_marked) {
-          marked->insert(shard.begin(), shard.end());
-        }
-        return true;
-      });
-}
-
-// The Algorithm 2 phase chain (collect / build / 2-cycles / SCC / reduce)
-// over windows, in the id space `view` maps windows into (base ids for the
-// general miner, labeled ids for the cyclic miner's inner run). Phase names
-// and degradation texts match GeneralDagMiner::Mine.
-Result<DirectedGraph> GeneralWindowedDag(SegmentStore* store, int64_t limit,
-                                         const MinerOptions& options, NodeId n,
-                                         ThreadPool* pool,
-                                         const WindowView& view, bool validate,
-                                         OocMineStats* stats) {
-  if (validate) {
-    PROCMINE_SPAN("general_dag.validate");
-    EventLog scratch;
-    PROCMINE_RETURN_NOT_OK(ForEachWindow(
-        store, limit, nullptr, [&](const EventLog& w) -> Result<bool> {
-          const EventLog* log = view(w, &scratch);
-          for (const Execution& exec : log->executions()) {
-            PROCMINE_RETURN_NOT_OK(mine_internal::ValidateNoRepeats(
-                exec, log->dictionary(), n));
-          }
-          return true;
-        }));
-  }
-  if (BudgetCut(options.budget, options.degradation, "general_dag.collect",
-                kCollectDropped)) {
-    return DirectedGraph(n);
-  }
-  EdgeCounts counts;
-  PROCMINE_RETURN_NOT_OK(CollectWindows(store, limit, pool,
-                                        options.chunk_size, view, stats,
-                                        &counts));
+// Algorithm 2's steps 3-6 from the scanned counts, in the counts' id space
+// (`labeler` non-null: the cyclic miner's labeled ids). The reduce walk runs
+// MarkReductionEdges per window against the global post-SCC DAG, with one
+// memo shared across windows and the marked sets unioned. Phase names and
+// degradation texts match GeneralDagMiner::Mine.
+Result<DirectedGraph> ReduceWalk(Walk* walk, const MinerOptions& options,
+                                 const EdgeCounts& counts, NodeId n,
+                                 OccurrenceLabeler* labeler) {
   DirectedGraph g =
       BuildPrecedenceGraph(counts, n, options.noise_threshold, nullptr);
   RemoveTwoCycles(&g, nullptr);
@@ -194,12 +207,48 @@ Result<DirectedGraph> GeneralWindowedDag(SegmentStore* store, int64_t limit,
                 kReduceDropped)) {
     return g;
   }
+  PROCMINE_SPAN("general_dag.reduce");
+  PROCMINE_PHASE("ooc.reduce");
+  ReductionMemo memo;
+  EventLog scratch;
   std::unordered_set<uint64_t> marked;
   bool budget_aborted = false;
-  PROCMINE_RETURN_NOT_OK(ReduceWindows(store, limit, pool,
-                                       options.chunk_size, view, g,
-                                       options.budget, stats, &budget_aborted,
-                                       &marked));
+  const int threads = walk->pool == nullptr ? 1 : walk->pool->num_threads();
+  PROCMINE_RETURN_NOT_OK(ForEachWindow(
+      walk, [&](const EventLog& w) -> Result<bool> {
+        const EventLog* log =
+            labeler == nullptr ? &w : Relabel(w, labeler, &scratch);
+        std::vector<ExecutionSpan> spans = log->Shards(
+            PlanChunks(log->num_executions(), threads, walk->chunk_size));
+        std::vector<std::unordered_set<uint64_t>> shard_marked(spans.size());
+        std::vector<Status> shard_status(spans.size());
+        std::vector<uint8_t> shard_aborted(spans.size(), 0);
+        auto run_shard = [&](size_t s) {
+          bool aborted = false;
+          shard_status[s] = mine_internal::MarkReductionEdges(
+              *log, g, spans[s], &memo, options.budget, &aborted,
+              &shard_marked[s]);
+          shard_aborted[s] = aborted ? 1 : 0;
+        };
+        if (walk->pool != nullptr && spans.size() > 1) {
+          walk->pool->ParallelForChunked(spans.size(), run_shard);
+        } else {
+          for (size_t s = 0; s < spans.size(); ++s) run_shard(s);
+        }
+        for (const Status& st : shard_status) {
+          if (!st.ok()) return st;
+        }
+        for (uint8_t aborted : shard_aborted) {
+          if (aborted != 0) {
+            budget_aborted = true;
+            return false;
+          }
+        }
+        for (auto& shard : shard_marked) {
+          marked.insert(shard.begin(), shard.end());
+        }
+        return true;
+      }));
   if (budget_aborted) {
     BudgetCut(options.budget, options.degradation, "general_dag.reduce",
               kReduceDropped);
@@ -216,43 +265,19 @@ Result<DirectedGraph> GeneralWindowedDag(SegmentStore* store, int64_t limit,
   return result;
 }
 
-const EventLog* IdentityView(const EventLog& window, EventLog*) {
-  return &window;
-}
-
-Result<ProcessGraph> MineSpecial(SegmentStore* store, int64_t limit,
-                                 const MinerOptions& options,
-                                 OocMineStats* stats) {
+// Algorithm 1's steps 3-4 from the scanned counts: no further walk.
+Result<ProcessGraph> FinishSpecial(const SegmentStore& store,
+                                   const MinerOptions& options,
+                                   const EdgeCounts& counts) {
   PROCMINE_SPAN("special_dag.mine");
-  const NodeId n = store->dictionary().size();
-  if (n == 0) return Status::InvalidArgument("log is empty");
-  {
-    PROCMINE_SPAN("special_dag.validate");
-    PROCMINE_RETURN_NOT_OK(ForEachWindow(
-        store, limit, nullptr, [&](const EventLog& w) -> Result<bool> {
-          for (const Execution& exec : w.executions()) {
-            PROCMINE_RETURN_NOT_OK(mine_internal::ValidateExactlyOnce(
-                exec, w.dictionary(), n));
-          }
-          return true;
-        }));
-  }
-  if (BudgetCut(options.budget, options.degradation, "special_dag.collect",
-                kCollectDropped)) {
-    return ProcessGraph(DirectedGraph(n), store->dictionary().names());
-  }
-  std::unique_ptr<ThreadPool> pool = MaybePool(options.num_threads, limit);
-  EdgeCounts counts;
-  PROCMINE_RETURN_NOT_OK(CollectWindows(store, limit, pool.get(),
-                                        options.chunk_size, IdentityView,
-                                        stats, &counts));
+  const NodeId n = store.dictionary().size();
   DirectedGraph g =
       BuildPrecedenceGraph(counts, n, options.noise_threshold, nullptr);
   RemoveTwoCycles(&g, nullptr);
   if (BudgetCut(options.budget, options.degradation, "special_dag.reduce",
                 "transitive reduction skipped; the model may contain "
                 "redundant (transitively implied) edges")) {
-    return ProcessGraph(std::move(g), store->dictionary().names());
+    return ProcessGraph(std::move(g), store.dictionary().names());
   }
   PROCMINE_SPAN("special_dag.reduce");
   Result<DirectedGraph> reduced = TransitiveReduction(g);
@@ -263,83 +288,7 @@ Result<ProcessGraph> MineSpecial(SegmentStore* store, int64_t limit,
         "higher noise threshold): " +
         reduced.status().message());
   }
-  return ProcessGraph(reduced.MoveValueOrDie(), store->dictionary().names());
-}
-
-Result<ProcessGraph> MineGeneral(SegmentStore* store, int64_t limit,
-                                 const MinerOptions& options,
-                                 OocMineStats* stats) {
-  PROCMINE_SPAN("general_dag.mine");
-  const NodeId n = store->dictionary().size();
-  if (n == 0) return Status::InvalidArgument("log is empty");
-  std::unique_ptr<ThreadPool> pool = MaybePool(options.num_threads, limit);
-  PROCMINE_ASSIGN_OR_RETURN(
-      DirectedGraph dag,
-      GeneralWindowedDag(store, limit, options, n, pool.get(), IdentityView,
-                         /*validate=*/true, stats));
-  return ProcessGraph(std::move(dag), store->dictionary().names());
-}
-
-Result<ProcessGraph> MineCyclic(SegmentStore* store, int64_t limit,
-                                const MinerOptions& options,
-                                OocMineStats* stats) {
-  PROCMINE_SPAN("cyclic.mine");
-  const NodeId n = store->dictionary().size();
-  if (n == 0) return Status::InvalidArgument("log is empty");
-  if (BudgetCut(options.budget, options.degradation, "cyclic.label",
-                "occurrence labeling and all later phases skipped; the "
-                "model has no edges")) {
-    return ProcessGraph(DirectedGraph(n), store->dictionary().names());
-  }
-  std::unique_ptr<ThreadPool> pool = MaybePool(options.num_threads, limit);
-
-  // Steps 2-3: stream the store through pass 1 of the labeling. Windows
-  // arrive in log order, so the label dictionary matches the in-memory
-  // first-encounter interning order exactly.
-  OccurrenceLabeler labeler;
-  {
-    PROCMINE_SPAN("cyclic.label");
-    PROCMINE_RETURN_NOT_OK(ForEachWindow(
-        store, limit, nullptr, [&](const EventLog& w) -> Result<bool> {
-          for (const Execution& exec : w.executions()) {
-            labeler.Observe(exec, w.dictionary());
-          }
-          return true;
-        }));
-  }
-  const NodeId labeled_n = labeler.labeled_dictionary().size();
-  static obs::Counter* labels =
-      obs::MetricsRegistry::Get().GetCounter("cyclic.labels_created");
-  labels->Add(labeled_n);
-
-  // Steps 3-7: the Algorithm 2 machinery in the labeled id space, each
-  // window relabeled on the fly (the labeled log is never whole in memory).
-  // The labeled log is repeat-free by construction, so validation is
-  // skipped (it cannot fail).
-  WindowView relabel = [&labeler](const EventLog& window,
-                                  EventLog* scratch) -> const EventLog* {
-    *scratch = EventLog();
-    scratch->dictionary() = labeler.labeled_dictionary();
-    for (const Execution& exec : window.executions()) {
-      scratch->AddExecution(labeler.Relabel(exec));
-    }
-    return scratch;
-  };
-  PROCMINE_ASSIGN_OR_RETURN(
-      DirectedGraph labeled_dag,
-      GeneralWindowedDag(store, limit, options, labeled_n, pool.get(),
-                         relabel, /*validate=*/false, stats));
-
-  // Step 8: merge equivalent sets; keep edges between different activities.
-  PROCMINE_SPAN("cyclic.merge");
-  const std::vector<ActivityId>& labeled_to_base = labeler.labeled_to_base();
-  DirectedGraph merged(n);
-  for (const Edge& e : labeled_dag.Edges()) {
-    ActivityId from = labeled_to_base[static_cast<size_t>(e.from)];
-    ActivityId to = labeled_to_base[static_cast<size_t>(e.to)];
-    if (from != to) merged.AddEdge(from, to);
-  }
-  return ProcessGraph(std::move(merged), store->dictionary().names());
+  return ProcessGraph(reduced.MoveValueOrDie(), store.dictionary().names());
 }
 
 }  // namespace
@@ -377,53 +326,104 @@ Result<ProcessGraph> OutOfCoreMiner::Mine(SegmentStore* store,
       return Status::InvalidArgument("max-executions leaves the log empty");
     }
   }
+  // Every in-memory miner rejects an activity-free log before any budget
+  // probe; the truncated log keeps the whole dictionary, so test it here.
+  const NodeId n = store->dictionary().size();
+  if (n == 0) return Status::InvalidArgument("log is empty");
 
-  // Progress denominators for the telemetry status surface: how much work
-  // this mine will visit (a watcher divides windows_visited / executions
-  // mined by these to get a fraction).
+  const int threads = ResolveThreadCount(options_.num_threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1 &&
+      limit >= static_cast<int64_t>(ThreadPool::kSmallInputInlineThreshold)) {
+    pool = std::make_unique<ThreadPool>(threads);
+  }
+  Walk walk{store, limit, pool.get(), options_.chunk_size, stats};
+
+  // Progress denominators for the telemetry status surface: the window
+  // visits this mine plans (a scan walk, plus a reduce walk for Algorithms
+  // 2 and 3, plus kAuto's cyclic-detection prefix once it is known) and the
+  // executions it mines. The plan assumes Algorithm 2 until kAuto settles.
   static obs::Gauge* windows_total =
       obs::MetricsRegistry::Get().GetGauge("ooc.windows_total");
   static obs::Gauge* executions_total =
       obs::MetricsRegistry::Get().GetGauge("progress.executions_total");
-  windows_total->Set(static_cast<int64_t>(store->num_segments()));
+  const int64_t per_walk = WindowsPerWalk(*store, limit);
+  auto plan = [&](MinerAlgorithm algorithm, int64_t prefix) {
+    windows_total->Set(prefix +
+                       per_walk *
+                           (algorithm == MinerAlgorithm::kSpecialDag ? 1 : 2));
+  };
+  plan(options_.algorithm, 0);
   executions_total->Set(limit);
 
+  // One scan walk fixes the algorithm (kAuto), validates, and collects.
+  // kAuto on a cyclic log stops at the first repeat and scans again with
+  // occurrence labeling, after the same "cyclic.label" probe as in memory.
+  Scan scan;
   MinerAlgorithm algorithm = options_.algorithm;
   if (algorithm == MinerAlgorithm::kAuto) {
-    PROCMINE_SPAN("ooc.select");
-    const NodeId n = store->dictionary().size();
-    bool cyclic = false;
-    bool all_exactly_once = true;
-    std::vector<bool> seen(static_cast<size_t>(n));
-    PROCMINE_RETURN_NOT_OK(ForEachWindow(
-        store, limit, nullptr, [&](const EventLog& w) -> Result<bool> {
-          for (const Execution& exec : w.executions()) {
-            std::fill(seen.begin(), seen.end(), false);
-            for (const ActivityInstance& inst : exec.instances()) {
-              if (seen[static_cast<size_t>(inst.activity)]) {
-                cyclic = true;
-                return false;  // repeats => cyclic; stop scanning
-              }
-              seen[static_cast<size_t>(inst.activity)] = true;
-            }
-            if (exec.size() != static_cast<size_t>(n)) {
-              all_exactly_once = false;
-            }
-          }
-          return true;
-        }));
-    algorithm = cyclic ? MinerAlgorithm::kCyclic
-                       : (all_exactly_once ? MinerAlgorithm::kSpecialDag
-                                           : MinerAlgorithm::kGeneralDag);
+    PROCMINE_RETURN_NOT_OK(ScanWindows(&walk, algorithm, &scan));
+    algorithm = scan.algorithm;
+    plan(algorithm, scan.complete ? 0 : walk.visits);
   }
+  if (algorithm == MinerAlgorithm::kCyclic &&
+      BudgetCut(options_.budget, options_.degradation, "cyclic.label",
+                "occurrence labeling and all later phases skipped; the "
+                "model has no edges")) {
+    return ProcessGraph(DirectedGraph(n), store->dictionary().names());
+  }
+  if (!scan.complete) {
+    scan = Scan();
+    PROCMINE_RETURN_NOT_OK(ScanWindows(&walk, algorithm, &scan));
+  }
+  if (stats != nullptr) {
+    stats->executions += scan.executions;
+    stats->events += scan.events;
+  }
+  static obs::Counter* mined =
+      obs::MetricsRegistry::Get().GetCounter("ooc.executions_mined");
+  mined->Add(scan.executions);
 
+  // The in-memory miners probe the collect cut before collecting; here the
+  // counts are already in hand, so a cut discards them, leaving the same
+  // empty model and DegradationInfo.
+  if (BudgetCut(options_.budget, options_.degradation,
+                algorithm == MinerAlgorithm::kSpecialDag
+                    ? "special_dag.collect"
+                    : "general_dag.collect",
+                kCollectDropped)) {
+    return ProcessGraph(DirectedGraph(n), store->dictionary().names());
+  }
   switch (algorithm) {
     case MinerAlgorithm::kSpecialDag:
-      return MineSpecial(store, limit, options_, stats);
-    case MinerAlgorithm::kGeneralDag:
-      return MineGeneral(store, limit, options_, stats);
-    case MinerAlgorithm::kCyclic:
-      return MineCyclic(store, limit, options_, stats);
+      return FinishSpecial(*store, options_, scan.counts);
+    case MinerAlgorithm::kGeneralDag: {
+      PROCMINE_SPAN("general_dag.mine");
+      PROCMINE_ASSIGN_OR_RETURN(
+          DirectedGraph dag,
+          ReduceWalk(&walk, options_, scan.counts, n, nullptr));
+      return ProcessGraph(std::move(dag), store->dictionary().names());
+    }
+    case MinerAlgorithm::kCyclic: {
+      // Steps 3-7 in the labeled id space (the reduce walk relabels each
+      // window on the fly, so the labeled log is never whole in memory),
+      // then step 8: merge equivalent sets, keeping edges between different
+      // activities.
+      PROCMINE_SPAN("cyclic.mine");
+      PROCMINE_ASSIGN_OR_RETURN(
+          DirectedGraph labeled_dag,
+          ReduceWalk(&walk, options_, scan.counts,
+                     scan.labeler.labeled_dictionary().size(), &scan.labeler));
+      PROCMINE_SPAN("cyclic.merge");
+      const std::vector<ActivityId>& to_base = scan.labeler.labeled_to_base();
+      DirectedGraph merged(n);
+      for (const Edge& e : labeled_dag.Edges()) {
+        ActivityId from = to_base[static_cast<size_t>(e.from)];
+        ActivityId to = to_base[static_cast<size_t>(e.to)];
+        if (from != to) merged.AddEdge(from, to);
+      }
+      return ProcessGraph(std::move(merged), store->dictionary().names());
+    }
     case MinerAlgorithm::kAuto:
       break;
   }

@@ -11,18 +11,23 @@
 // threads x chunk-size x segment-size, while resident memory stays bounded
 // by the store's LRU cache plus one window's accumulators.
 //
-// Per-pass shape:
-//   validate   one streaming pass (first bad execution, same error text)
-//   select     kAuto only: one streaming pass mirroring SelectAlgorithm
-//   collect    CollectPrecedenceEdges per window, counters summed
-//   reduce     MarkReductionEdges per window against the global DAG, with
-//              one ReductionMemo shared across windows (general/cyclic)
-//   label      OccurrenceLabeler streamed over the store; windows are
-//              relabeled on the fly for the inner Algorithm 2 passes
-//              (the labeled log is never materialized whole)
+// Per-walk shape (S = non-empty windows in one walk):
+//   scan     one walk: per window, the checks the algorithm needs (kAuto:
+//            SelectAlgorithm's, which imply both validations; general:
+//            no repeats; special: exactly once), occurrence labeling and an
+//            on-the-fly relabel on the cyclic path, then
+//            CollectPrecedenceEdges with counters summed
+//   reduce   Algorithms 2 and 3 only: MarkReductionEdges per window against
+//            the global DAG, with one ReductionMemo shared across windows;
+//            cyclic windows are relabeled on the fly (the labeled log is
+//            never materialized whole)
+// Window visits per mine: S for Algorithm 1, 2S for Algorithms 2 and 3.
+// kAuto on a cyclic log adds the k windows scanned up to the first repeated
+// activity, whose counts are discarded: k + 2S.
 //
 // Budget semantics match the in-memory path: the same BudgetCut phases fire
-// in the same order, so a budget-degraded out-of-core run returns the same
+// in the same order (the collect cut is probed once the scan is done, and
+// discards its counts), so a budget-degraded out-of-core run returns the same
 // partial model and DegradationInfo as the in-memory run would.
 //
 // Unsupported: provenance recording (run reports index executions globally
@@ -40,10 +45,11 @@
 
 namespace procmine {
 
-/// What one out-of-core run touched (window loads are counted per pass, so
-/// a general-DAG run over S segments reports ~2S windows).
+/// What one out-of-core run touched. Every window visit counts, in every walk:
+/// a general-DAG run over S non-empty segments reports 2S windows, a
+/// special-DAG run S, and a kAuto cyclic run k + 2S (see above).
 struct OocMineStats {
-  int64_t windows = 0;     ///< window visits across all passes
+  int64_t windows = 0;     ///< window visits across all walks
   int64_t executions = 0;  ///< executions mined (after any --max-executions cap)
   int64_t events = 0;      ///< raw events mined (2 x instances)
 };

@@ -883,6 +883,15 @@ TEST_F(StoreCliTest, SpillMineWithTelemetryTracksCacheAndWindows) {
   EXPECT_EQ(heartbeat.find("\"windows_visited\":0,"), std::string::npos)
       << heartbeat;
   EXPECT_EQ(heartbeat.find("\"loads\":0,"), std::string::npos) << heartbeat;
+  // The planned visit total is exact once the run is over.
+  auto field = [&](const std::string& key) {
+    size_t at = heartbeat.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key << " in " << heartbeat;
+    if (at == std::string::npos) return std::string();
+    at += key.size() + 3;
+    return heartbeat.substr(at, heartbeat.find_first_of(",}", at) - at);
+  };
+  EXPECT_EQ(field("windows_visited"), field("windows_total")) << heartbeat;
 }
 
 }  // namespace

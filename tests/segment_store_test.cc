@@ -861,5 +861,191 @@ TEST_F(OocIdentityTest, ValidationErrorsMatchInMemoryPath) {
   EXPECT_EQ(ooc.status().message(), reference.status().message());
 }
 
+/// Index of the non-empty window holding execution `exec` (0-based).
+int64_t WindowOf(const SegmentStore& store, int64_t exec) {
+  int64_t window = 0;
+  for (const SegmentInfo& segment : store.segments()) {
+    if (segment.executions == 0) continue;
+    if (exec < segment.executions) return window;
+    exec -= segment.executions;
+    ++window;
+  }
+  return -1;
+}
+
+TEST_F(OocIdentityTest, WalkCountsWithOneResidentSegment) {
+  // With one segment resident every window visit decodes, so the store's
+  // load count is the miner's walk count: one scan walk, one reduce walk
+  // for Algorithms 2 and 3, and for kAuto on a cyclic log the k windows
+  // scanned up to the first repeat. Each model still matches in memory.
+  RandomDagOptions dag_options;
+  dag_options.num_activities = 10;
+  dag_options.edge_density = PaperEdgeDensity(10);
+  dag_options.seed = 7;
+  WalkLogOptions walk;
+  walk.num_executions = 60;
+  walk.seed = 8;
+  auto general = GenerateWalkLog(GenerateRandomDag(dag_options), walk);
+  ASSERT_TRUE(general.ok());
+  EventLog special = EventLog::FromCompactStrings(
+      {"ABCE", "ACBE", "ABCE", "ACBE", "ABCE", "ACBE", "ABCE", "ACBE"});
+  // The first repeat sits past segment 0, so the re-scan after the
+  // detection prefix starts on a window that is no longer resident.
+  std::vector<std::string> cases = {"ACE", "ABCE", "ACE", "ABCE", "ACE"};
+  for (int i = 0; i < 12; ++i) cases.push_back(i % 2 ? "ABABCE" : "ACBCE");
+  EventLog cyclic = EventLog::FromCompactStrings(cases);
+  const int64_t first_repeat = 5;
+
+  struct Case {
+    const char* name;
+    const EventLog* log;
+    MinerAlgorithm algorithm;
+    int64_t walks;   // full walks
+    bool prefix;     // plus kAuto's cyclic-detection prefix
+  };
+  const Case kCases[] = {
+      {"auto general", &*general, MinerAlgorithm::kAuto, 2, false},
+      {"explicit general", &*general, MinerAlgorithm::kGeneralDag, 2, false},
+      {"auto special", &special, MinerAlgorithm::kAuto, 1, false},
+      {"explicit special", &special, MinerAlgorithm::kSpecialDag, 1, false},
+      {"auto cyclic", &cyclic, MinerAlgorithm::kAuto, 2, true},
+      {"explicit cyclic", &cyclic, MinerAlgorithm::kCyclic, 2, false},
+  };
+  for (const Case& c : kCases) {
+    SetUp();
+    SegmentStoreOptions store_options;
+    store_options.target_segment_events = 16;
+    WriteStore(*c.log, store_options);
+    store_options.max_resident_bytes = 1;
+    auto store = SegmentStore::Open(dir_, store_options);
+    ASSERT_TRUE(store.ok());
+    const int64_t segments = static_cast<int64_t>(store->num_segments());
+    ASSERT_GE(segments, 3) << c.name;
+    const int64_t k = c.prefix ? WindowOf(*store, first_repeat) + 1 : 0;
+    if (c.prefix) {
+      ASSERT_GE(k, 2) << c.name;
+    }
+
+    MinerOptions options;
+    options.algorithm = c.algorithm;
+    OocMineStats stats;
+    auto ooc = OutOfCoreMiner(options).Mine(&*store, &stats);
+    ASSERT_TRUE(ooc.ok()) << c.name << ": " << ooc.status().ToString();
+    const int64_t expected = k + c.walks * segments;
+    EXPECT_EQ(store->Footprint().loads, expected) << c.name;
+    EXPECT_EQ(stats.windows, expected) << c.name;
+
+    auto materialized = store->Materialize();
+    ASSERT_TRUE(materialized.ok()) << c.name;
+    auto reference = ProcessMiner(options).Mine(*materialized);
+    ASSERT_TRUE(reference.ok()) << c.name;
+    ExpectModelsEqual(*ooc, *reference, c.name);
+  }
+}
+
+TEST_F(OocIdentityTest, ExpiredDeadlineDegradationParity) {
+  // A zero deadline trips the first BudgetCut probed. The scan collects
+  // before the collect cut is probed, so the cut must still throw the counts
+  // away and report the in-memory model and DegradationInfo exactly.
+  EventLog general = EventLog::FromCompactStrings(
+      {"ABCE", "ACE", "ABCE", "ABE", "ACBE", "ABCE"});
+  EventLog special = EventLog::FromCompactStrings(
+      {"ABCE", "ACBE", "ABCE", "ACBE", "ABCE", "ACBE"});
+  EventLog cyclic = EventLog::FromCompactStrings(
+      {"ACE", "ABCE", "ABABCE", "ACBCE", "ABABCE", "ACE"});
+  struct Case {
+    const char* name;
+    const EventLog* log;
+    MinerAlgorithm algorithm;
+  };
+  const Case kCases[] = {
+      {"auto general", &general, MinerAlgorithm::kAuto},
+      {"explicit general", &general, MinerAlgorithm::kGeneralDag},
+      {"auto special", &special, MinerAlgorithm::kAuto},
+      {"explicit special", &special, MinerAlgorithm::kSpecialDag},
+      {"auto cyclic", &cyclic, MinerAlgorithm::kAuto},
+      {"explicit cyclic", &cyclic, MinerAlgorithm::kCyclic},
+  };
+  for (const Case& c : kCases) {
+    SetUp();
+    SegmentStoreOptions store_options;
+    store_options.target_segment_events = 8;
+    WriteStore(*c.log, store_options);
+    auto store = SegmentStore::Open(dir_, store_options);
+    ASSERT_TRUE(store.ok());
+
+    RunBudget::Limits limits;
+    limits.deadline_ms = 0;
+    RunBudget ooc_budget(limits);
+    ooc_budget.Start();
+    DegradationInfo ooc_degradation;
+    MinerOptions ooc_options;
+    ooc_options.algorithm = c.algorithm;
+    ooc_options.budget = &ooc_budget;
+    ooc_options.degradation = &ooc_degradation;
+    auto ooc = OutOfCoreMiner(ooc_options).Mine(&*store);
+    ASSERT_TRUE(ooc.ok()) << c.name << ": " << ooc.status().ToString();
+
+    RunBudget ref_budget(limits);
+    ref_budget.Start();
+    DegradationInfo ref_degradation;
+    MinerOptions ref_options = ooc_options;
+    ref_options.budget = &ref_budget;
+    ref_options.degradation = &ref_degradation;
+    auto reference = ProcessMiner(ref_options).Mine(*c.log);
+    ASSERT_TRUE(reference.ok()) << c.name;
+
+    ExpectModelsEqual(*ooc, *reference, c.name);
+    EXPECT_EQ(ooc->graph().num_edges(), 0) << c.name;
+    EXPECT_TRUE(ooc_degradation.degraded) << c.name;
+    EXPECT_EQ(ooc_degradation.resource, BudgetResource::kDeadline) << c.name;
+    EXPECT_EQ(ooc_degradation.resource, ref_degradation.resource) << c.name;
+    EXPECT_EQ(ooc_degradation.cut_phase, ref_degradation.cut_phase)
+        << c.name;
+    EXPECT_EQ(ooc_degradation.dropped, ref_degradation.dropped) << c.name;
+  }
+}
+
+TEST_F(OocIdentityTest, FirstBadExecutionAcrossSegmentsMatchesInMemory) {
+  // The scan validates window by window, so a bad execution past segment 0
+  // must fail with the in-memory error byte for byte — and when a later
+  // segment holds a different fault, the earlier one is still reported.
+  std::vector<std::string> general(11, "ABCE");
+  general.push_back("ABAE");  // the only repeat, in the last segment
+  std::vector<std::string> special(5, "ABCE");
+  special.push_back("ABE");  // short, in a middle segment
+  for (int i = 0; i < 5; ++i) special.push_back("ACBE");
+  special.push_back("ABCC");  // a later, different fault: a repeat
+  struct Case {
+    const char* name;
+    EventLog log;
+    MinerAlgorithm algorithm;
+  };
+  const Case kCases[] = {
+      {"general, repeat in last segment", EventLog::FromCompactStrings(general),
+       MinerAlgorithm::kGeneralDag},
+      {"special, short execution mid-store",
+       EventLog::FromCompactStrings(special), MinerAlgorithm::kSpecialDag},
+  };
+  for (const Case& c : kCases) {
+    SetUp();
+    SegmentStoreOptions store_options;
+    store_options.target_segment_events = 16;
+    WriteStore(c.log, store_options);
+    auto store = SegmentStore::Open(dir_, store_options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_GE(store->num_segments(), 3u) << c.name;
+    MinerOptions options;
+    options.algorithm = c.algorithm;
+    auto ooc = OutOfCoreMiner(options).Mine(&*store);
+    auto reference = ProcessMiner(options).Mine(c.log);
+    ASSERT_FALSE(ooc.ok()) << c.name;
+    ASSERT_FALSE(reference.ok()) << c.name;
+    EXPECT_EQ(ooc.status().code(), reference.status().code()) << c.name;
+    EXPECT_EQ(ooc.status().message(), reference.status().message())
+        << c.name;
+  }
+}
+
 }  // namespace
 }  // namespace procmine
