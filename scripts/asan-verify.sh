@@ -7,9 +7,11 @@
 # recovery/salvage machinery it reuses, the telemetry sampler's
 # /proc parsing + ring/serialization paths, and the streaming server's
 # wire/journal decoders (length-prefixed frames and crc-framed journal
-# records parsed from hostile or torn byte streams). Run whenever
+# records parsed from hostile or torn byte streams), and the
+# open-addressing table of distinct activity sets the out-of-core miner
+# fills. Run whenever
 # src/log/segment_store, src/mine/ooc_miner, src/obs/telemetry,
-# src/serve/, or the binary-log salvage path changes.
+# src/serve/, util/id_set_table, or the binary-log salvage path changes.
 #
 # Usage: scripts/asan-verify.sh [build-dir]   (default: build-asan)
 
@@ -25,7 +27,8 @@ cmake -B "$BUILD_DIR" -S . \
   -DPROCMINE_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j \
   --target segment_store_test binary_log_test recovery_test \
-           format_fuzz_test budget_test telemetry_test serve_test
+           format_fuzz_test budget_test telemetry_test serve_test \
+           id_set_table_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|IdSetTable'

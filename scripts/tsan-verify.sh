@@ -1,8 +1,8 @@
 #!/bin/sh
 # Builds the suite under ThreadSanitizer and runs the tests that exercise
 # the concurrent machinery: the obs metrics/span recorders, the thread
-# pool (including the work-stealing chunked mode), the shared striped
-# memo table, the parallel-determinism sweep (threads x chunk-size), the
+# pool (including the work-stealing chunked mode), the
+# parallel-determinism sweep (threads x chunk-size), the
 # sharded parallel log parser (ingest equivalence), the run-report
 # builder (provenance recording + thread-count-invariant report bytes),
 # the robustness layer (recovery-mode sharded quarantine merges,
@@ -31,11 +31,11 @@ cmake -B "$BUILD_DIR" -S . \
   -DPROCMINE_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j \
   --target obs_metrics_test obs_trace_test thread_pool_test \
-           striped_memo_test parallel_determinism_test \
+           parallel_determinism_test \
            ingest_equivalence_test mapped_file_test report_test \
            recovery_test failpoint_test budget_test \
            drift_test registry_test segment_store_test telemetry_test \
            serve_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Obs|ThreadPool|StripedMemo|ParallelDeterminism|IngestEquivalence|MappedFile|RunReport|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Failpoint|RunBudget|MinerBudget|ReportBudget|DriftMonitor|SupportHighWatermark|Registry|SegmentStore|SegmentCodec|OocIdentity|Telemetry|Serve'
+  -R 'Obs|ThreadPool|ParallelDeterminism|IngestEquivalence|MappedFile|RunReport|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Failpoint|RunBudget|MinerBudget|ReportBudget|DriftMonitor|SupportHighWatermark|Registry|SegmentStore|SegmentCodec|OocIdentity|Telemetry|Serve'

@@ -620,14 +620,16 @@ Result<std::shared_ptr<const EventLog>> SegmentStore::Segment(size_t index) {
         StrFormat("segment index %zu out of range (%zu segments)", index,
                   segments_.size()));
   }
+  // Registered before the branch, so a mine with no cache hit still exports
+  // the counter (at 0).
+  static obs::Counter* hits =
+      obs::MetricsRegistry::Get().GetCounter("segment.cache_hits");
   auto it = resident_.find(index);
   if (it != resident_.end()) {
     lru_.erase(it->second.lru_pos);
     lru_.push_front(index);
     it->second.lru_pos = lru_.begin();
     ++cache_hits_;
-    static obs::Counter* hits =
-        obs::MetricsRegistry::Get().GetCounter("segment.cache_hits");
     hits->Increment();
     return it->second.log;
   }

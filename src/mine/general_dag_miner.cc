@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "graph/algorithms.h"
@@ -10,14 +11,16 @@
 #include "mine/edge_collector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/hash.h"
 #include "util/logging.h"
-#include "util/striped_memo.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace procmine {
 namespace mine_internal {
+
+const char* const kReduceDropped =
+    "per-execution transitive reductions skipped; the model is conformal "
+    "but keeps edges a full run would have removed";
 
 Status ValidateNoRepeats(const Execution& exec,
                          const ActivityDictionary& dict, NodeId n) {
@@ -34,66 +37,108 @@ Status ValidateNoRepeats(const Execution& exec,
   return Status::OK();
 }
 
-// Steps 5-6 map phase for one chunk: transitively reduce each execution's
-// induced subgraph and collect the surviving edges. The marked-edge sets
-// merge by union, which is order-independent, so the result is identical
-// for any thread count and chunk size.
-Status MarkReductionEdges(const EventLog& log, const DirectedGraph& g,
-                          ExecutionSpan span, ReductionMemo* memo,
-                          RunBudget* budget, bool* budget_aborted,
-                          std::unordered_set<uint64_t>* marked) {
-  PROCMINE_SPAN("general_dag.reduce_shard");
-  // Per-chunk reducer: its arena scratch is recycled across every execution
-  // in the span, so the steady-state loop performs no heap allocation.
-  InducedReducer reducer(g);
-  std::vector<Edge> computed;
-  int64_t memo_hits = 0;
-  int64_t memo_misses = 0;
-  for (size_t e = span.begin; e < span.end; ++e) {
-    // A budget probe reads the clock (and possibly /proc), so amortize it;
-    // the sticky exhausted flag makes every chunk stop within one stride.
-    if (budget != nullptr && (e - span.begin) % 1024 == 0 &&
-        budget->Check() != BudgetResource::kNone) {
-      *budget_aborted = true;
-      return Status::OK();
-    }
-    const Execution& exec = log.execution(e);
-    std::vector<NodeId> present = exec.Sequence();
-    std::sort(present.begin(), present.end());
-
-    const std::vector<Edge>* reduction_edges = nullptr;
-    if (memo != nullptr) {
-      reduction_edges = memo->Find(present);
-      if (reduction_edges != nullptr) ++memo_hits;
-    }
-    if (reduction_edges == nullptr) {
-      ++memo_misses;
-      PROCMINE_RETURN_NOT_OK(reducer.Reduce(present, &computed));
-      if (memo != nullptr) {
-        reduction_edges = memo->Insert(std::move(present), computed);
-      } else {
-        reduction_edges = &computed;
+void GatherActivitySets(const EventLog& log, ThreadPool* pool,
+                        size_t chunk_size, IdSetTable* sets) {
+  auto gather = [&log](ExecutionSpan span, IdSetTable* into) {
+    std::vector<NodeId> present;
+    for (size_t e = span.begin; e < span.end; ++e) {
+      present.clear();
+      for (const ActivityInstance& inst : log.execution(e).instances()) {
+        present.push_back(inst.activity);
       }
+      std::sort(present.begin(), present.end());
+      into->Insert(present);
     }
-    for (const Edge& edge : *reduction_edges) {
-      marked->insert(PackEdge(edge.from, edge.to));
-    }
+  };
+  if (pool == nullptr) {
+    gather(ExecutionSpan{0, log.num_executions()}, sets);
+    return;
   }
-  // One sharded add per counter at chunk end, not per execution. With a
-  // shared memo the hit/miss split depends on which worker saw a duplicate
-  // first; the sum hits+misses stays deterministic.
+  std::vector<ExecutionSpan> spans = log.Shards(
+      PlanChunks(log.num_executions(), pool->num_threads(), chunk_size));
+  std::vector<IdSetTable> shard_sets(spans.size(), IdSetTable(sets->dedup()));
+  pool->ParallelForChunked(spans.size(),
+                           [&](size_t s) { gather(spans[s], &shard_sets[s]); });
+  for (const IdSetTable& shard : shard_sets) sets->Merge(shard);
+}
+
+Result<DirectedGraph> ReduceActivitySets(const DirectedGraph& dag,
+                                         const IdSetTable& sets,
+                                         ThreadPool* pool, size_t chunk_size,
+                                         RunBudget* budget,
+                                         DegradationInfo* degradation) {
+  // hits: executions whose set was already in the table; misses: the
+  // distinct sets, each reduced once below.
   static obs::Counter* hits =
       obs::MetricsRegistry::Get().GetCounter("general_dag.memo_hits");
   static obs::Counter* misses =
       obs::MetricsRegistry::Get().GetCounter("general_dag.memo_misses");
-  hits->Add(memo_hits);
-  misses->Add(memo_misses);
-  return Status::OK();
+  hits->Add(sets.inserted() - static_cast<int64_t>(sets.size()));
+  misses->Add(static_cast<int64_t>(sets.size()));
+
+  const int threads = pool == nullptr ? 1 : pool->num_threads();
+  const size_t num_chunks = PlanChunks(sets.size(), threads, chunk_size);
+  std::vector<std::unordered_set<uint64_t>> chunk_marked(num_chunks);
+  std::vector<Status> chunk_status(num_chunks);
+  std::vector<uint8_t> chunk_aborted(num_chunks, 0);
+  auto run_chunk = [&](size_t c) {
+    PROCMINE_SPAN("general_dag.reduce_shard");
+    // Per-chunk reducer: its arena scratch is recycled across every set in
+    // the chunk, so the steady-state loop performs no heap allocation.
+    InducedReducer reducer(dag);
+    std::vector<NodeId> present;
+    std::vector<Edge> kept;
+    const size_t begin = sets.size() * c / num_chunks;
+    const size_t end = sets.size() * (c + 1) / num_chunks;
+    for (size_t i = begin; i < end; ++i) {
+      // A budget probe reads the clock (and possibly /proc), so amortize
+      // it; the sticky exhausted flag stops every chunk within one stride.
+      if (budget != nullptr && (i - begin) % 1024 == 0 &&
+          budget->Check() != BudgetResource::kNone) {
+        chunk_aborted[c] = 1;
+        return;
+      }
+      present.assign(sets[i].begin(), sets[i].end());
+      chunk_status[c] = reducer.Reduce(present, &kept);
+      if (!chunk_status[c].ok()) return;
+      for (const Edge& edge : kept) {
+        chunk_marked[c].insert(PackEdge(edge.from, edge.to));
+      }
+    }
+  };
+  if (pool != nullptr && num_chunks > 1) {
+    pool->ParallelForChunked(num_chunks, run_chunk);
+  } else {
+    for (size_t c = 0; c < num_chunks; ++c) run_chunk(c);
+  }
+  for (const Status& st : chunk_status) {
+    if (!st.ok()) return st;  // first failure by chunk order: deterministic
+  }
+  for (uint8_t aborted : chunk_aborted) {
+    if (aborted != 0) {
+      BudgetCut(budget, degradation, "general_dag.reduce", kReduceDropped);
+      return dag;
+    }
+  }
+  std::unordered_set<uint64_t> marked = std::move(chunk_marked[0]);
+  for (size_t c = 1; c < num_chunks; ++c) {
+    marked.insert(chunk_marked[c].begin(), chunk_marked[c].end());
+  }
+  static obs::Counter* kept_edges = obs::MetricsRegistry::Get().GetCounter(
+      "general_dag.reduction_edges_marked");
+  kept_edges->Add(static_cast<int64_t>(marked.size()));
+  PROCMINE_LOG(Debug) << "reduction kept " << marked.size() << " of "
+                      << dag.num_edges() << " DAG edges (" << sets.size()
+                      << " activity sets, " << threads << " threads)";
+  DirectedGraph result(dag.num_nodes());
+  for (uint64_t key : marked) {
+    Edge e = UnpackEdge(key);
+    result.AddEdge(e.from, e.to);
+  }
+  return result;
 }
 
 }  // namespace mine_internal
-
-using mine_internal::ReductionMemo;
 
 Result<ProcessGraph> GeneralDagMiner::Mine(const EventLog& log) const {
   PROCMINE_SPAN("general_dag.mine");
@@ -140,74 +185,29 @@ Result<ProcessGraph> GeneralDagMiner::Mine(const EventLog& log) const {
   PROCMINE_DCHECK(!HasCycle(g));
 
   // The post-SCC DAG is conformal (Theorem 5) even without steps 5-6, so it
-  // is the partial model a budget cut falls back to — here and on a
-  // mid-reduction abort below.
-  const char* kReduceDropped =
-      "per-execution transitive reductions skipped; the model is conformal "
-      "but keeps edges a full run would have removed";
-  auto degraded_model = [&]() {
+  // is the partial model a budget cut falls back to, here or mid-reduction.
+  if (BudgetCut(options_.budget, options_.degradation, "general_dag.reduce",
+                mine_internal::kReduceDropped)) {
     if (prov != nullptr) prov->SetActivityNames(log.dictionary().names());
     return ProcessGraph(std::move(g), log.dictionary().names());
-  };
-  if (BudgetCut(options_.budget, options_.degradation, "general_dag.reduce",
-                kReduceDropped)) {
-    return degraded_model();
   }
 
   // Steps 5-6: keep exactly the edges needed by at least one execution —
-  // those in the transitive reduction of the execution's induced subgraph.
+  // those in the transitive reduction of its activity set's induced
+  // subgraph.
   PROCMINE_SPAN("general_dag.reduce");
-  const int threads = pool == nullptr ? 1 : pool->num_threads();
-  std::vector<ExecutionSpan> spans = log.Shards(
-      PlanChunks(log.num_executions(), threads, options_.chunk_size));
-  ReductionMemo memo;
-  ReductionMemo* shared_memo = options_.memoize_reductions ? &memo : nullptr;
-  std::vector<std::unordered_set<uint64_t>> shard_marked(spans.size());
-  std::vector<Status> shard_status(spans.size());
-  std::vector<uint8_t> shard_aborted(spans.size(), 0);
-  auto run_shard = [&](size_t s) {
-    bool aborted = false;
-    shard_status[s] = mine_internal::MarkReductionEdges(
-        log, g, spans[s], shared_memo, options_.budget, &aborted,
-        &shard_marked[s]);
-    shard_aborted[s] = aborted ? 1 : 0;
-  };
-  if (pool != nullptr && spans.size() > 1) {
-    pool->ParallelForChunked(spans.size(), run_shard);
-  } else {
-    for (size_t s = 0; s < spans.size(); ++s) run_shard(s);
-  }
-  for (const Status& st : shard_status) {
-    if (!st.ok()) return st;  // first failure by shard order: deterministic
-  }
-  for (uint8_t aborted : shard_aborted) {
-    if (aborted != 0) {
-      BudgetCut(options_.budget, options_.degradation, "general_dag.reduce",
-                kReduceDropped);
-      return degraded_model();
-    }
-  }
-  std::unordered_set<uint64_t> marked = std::move(shard_marked[0]);
-  for (size_t s = 1; s < shard_marked.size(); ++s) {
-    marked.insert(shard_marked[s].begin(), shard_marked[s].end());
-  }
-  static obs::Counter* kept = obs::MetricsRegistry::Get().GetCounter(
-      "general_dag.reduction_edges_marked");
-  kept->Add(static_cast<int64_t>(marked.size()));
-  PROCMINE_LOG(Debug) << "reduction kept " << marked.size() << " of "
-                      << g.num_edges() << " DAG edges ("
-                      << log.num_executions() << " executions, "
-                      << num_threads << " threads)";
-
-  DirectedGraph result(n);
-  for (uint64_t key : marked) {
-    Edge e = UnpackEdge(key);
-    result.AddEdge(e.from, e.to);
-  }
+  IdSetTable sets(options_.memoize_reductions);
+  mine_internal::GatherActivitySets(log, pool.get(), options_.chunk_size,
+                                    &sets);
+  PROCMINE_ASSIGN_OR_RETURN(
+      DirectedGraph result,
+      mine_internal::ReduceActivitySets(g, sets, pool.get(),
+                                        options_.chunk_size, options_.budget,
+                                        options_.degradation));
   if (prov != nullptr) {
-    // Step 6 drops the DAG edges no execution's reduction needed.
+    // Step 6 drops the DAG edges no activity set's reduction needed.
     for (const Edge& e : g.Edges()) {
-      if (marked.count(PackEdge(e.from, e.to)) == 0) {
+      if (!result.HasEdge(e.from, e.to)) {
         prov->MarkDropped(e.from, e.to, DropReason::kTransitiveReduction);
       }
     }

@@ -6,8 +6,8 @@
 //   3.   drop 2-cycles,
 //   4.   drop all edges inside strongly connected components (paths of
 //        followings both ways => independent),
-//   5.   for each execution, transitively reduce the induced subgraph and
-//        mark the surviving edges,
+//   5.   for each distinct execution activity set, transitively reduce the
+//        induced subgraph and mark the surviving edges,
 //   6.   drop unmarked edges.
 // The result is a conformal graph (Theorem 5); minimality is heuristic.
 
@@ -15,38 +15,24 @@
 #define PROCMINE_MINE_GENERAL_DAG_MINER_H_
 
 #include <cstdint>
-#include <unordered_set>
-#include <vector>
 
 #include "graph/digraph.h"
 #include "log/event_log.h"
 #include "util/budget.h"
-#include "util/hash.h"
+#include "util/id_set_table.h"
 #include "util/result.h"
-#include "util/striped_memo.h"
 #include "workflow/process_graph.h"
 
 namespace procmine {
 
 class ProvenanceRecorder;
+class ThreadPool;
 
 namespace mine_internal {
 
-/// Memo key hash for the per-execution reductions: the sorted activity set.
-/// Hashing the id vector directly (HashBytes over the raw id words) avoids
-/// serializing a fresh string key per execution just to look it up.
-struct SequenceHash {
-  size_t operator()(const std::vector<NodeId>& ids) const {
-    return static_cast<size_t>(
-        HashBytes(ids.data(), ids.size() * sizeof(NodeId)));
-  }
-};
-
-/// One memo shared by every worker (and, on the out-of-core path, across
-/// every segment window): the cached edge vector is a pure function of the
-/// activity set, so first-writer-wins sharing cannot perturb the model.
-using ReductionMemo =
-    StripedMemo<std::vector<NodeId>, std::vector<Edge>, SequenceHash>;
+/// Degradation text of the "general_dag.reduce" cut, shared with the
+/// out-of-core driver so both report the same DegradationInfo.
+extern const char* const kReduceDropped;
 
 /// Algorithm 2's per-execution validation: InvalidArgument when `exec`
 /// repeats an activity (same message the in-memory miner emits, so the
@@ -54,15 +40,23 @@ using ReductionMemo =
 Status ValidateNoRepeats(const Execution& exec,
                          const ActivityDictionary& dict, NodeId n);
 
-/// Steps 5-6 map phase for one span of `log`: transitively reduce each
-/// execution's induced subgraph of `g` and union the surviving edges into
-/// `marked`. Shared by the in-memory shards and the out-of-core segment
-/// windows — marked-set union is order-independent, so any partition of the
-/// executions yields the same set.
-Status MarkReductionEdges(const EventLog& log, const DirectedGraph& g,
-                          ExecutionSpan span, ReductionMemo* memo,
-                          RunBudget* budget, bool* budget_aborted,
-                          std::unordered_set<uint64_t>* marked);
+/// Adds each execution's sorted activity set to `sets`: one reused scratch
+/// buffer and one table probe per execution. Under `pool` the executions
+/// are gathered per shard and the shard tables merged in shard order.
+void GatherActivitySets(const EventLog& log, ThreadPool* pool,
+                        size_t chunk_size, IdSetTable* sets);
+
+/// Steps 5-6 over the distinct activity sets `sets`: reduce the subgraph of
+/// the post-SCC DAG `dag` induced by each set once, and keep the union of
+/// the surviving edges. The sets are reduced in chunks (one reducer and
+/// one marked set each), and the union is order-independent, so any
+/// partition gives the same graph. The budget is probed every 1024 sets; a
+/// cut records the "general_dag.reduce" degradation and returns `dag`.
+Result<DirectedGraph> ReduceActivitySets(const DirectedGraph& dag,
+                                         const IdSetTable& sets,
+                                         ThreadPool* pool, size_t chunk_size,
+                                         RunBudget* budget,
+                                         DegradationInfo* degradation);
 
 }  // namespace mine_internal
 
@@ -70,12 +64,10 @@ struct GeneralDagMinerOptions {
   /// Minimum executions an edge must appear in to survive (Section 6
   /// noise threshold T). 1 = keep everything.
   int64_t noise_threshold = 1;
-  /// Memoize the per-execution transitive reductions keyed by the induced
-  /// activity set (executions repeat heavily in real logs; the reduction
-  /// only depends on the set, not the order). Ablated in bench_micro.
-  /// Under num_threads > 1 all workers share one striped concurrent memo
-  /// (util/striped_memo.h): a duplicate execution is a hit no matter which
-  /// worker saw it first.
+  /// Reduce each distinct activity set once (steps 5-6 depend only on the
+  /// set, not the order, and executions repeat heavily in real logs).
+  /// false reduces every execution's set, duplicates included: the oracle
+  /// for tests and the ablation in bench_micro.
   bool memoize_reductions = true;
   /// Worker threads for the chunked per-execution passes (edge collection
   /// and the step 5-6 transitive reductions). 1 = sequential reference
@@ -93,7 +85,7 @@ struct GeneralDagMinerOptions {
   /// one branch per instrumented site.
   ProvenanceRecorder* provenance = nullptr;
   /// Optional run budget + degradation sink (see util/budget.h): checked at
-  /// phase boundaries and every ~1024 executions inside the step 5-6
+  /// phase boundaries and every 1024 activity sets inside the step 5-6
   /// reduction pass. On exhaustion the miner returns the conformal (but
   /// unminimized) post-SCC DAG and records the cut. Borrowed; may be null.
   RunBudget* budget = nullptr;

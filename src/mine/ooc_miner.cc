@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,7 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "util/hash.h"
+#include "util/id_set_table.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -24,16 +23,11 @@ namespace procmine {
 
 namespace {
 
-using mine_internal::ReductionMemo;
-
-// The degradation texts must match the in-memory miners byte-for-byte: a
+// The degradation text must match the in-memory miners byte-for-byte: a
 // budget-cut out-of-core run reports the same DegradationInfo.
 constexpr const char* kCollectDropped =
     "precedence collection and all later phases skipped; the "
     "model has no edges";
-constexpr const char* kReduceDropped =
-    "per-execution transitive reductions skipped; the model is conformal "
-    "but keeps edges a full run would have removed";
 
 // What every walk over the store shares: the --max-executions prefix, the
 // worker pool, and the running tally of window visits.
@@ -94,7 +88,7 @@ int64_t WindowsPerWalk(const SegmentStore& store, int64_t limit) {
 }
 
 // Rewrites `window` into `scratch` in the labeled id space. Collection and
-// reduction read only activity ids, so no dictionary is attached.
+// set gathering read only activity ids, so no dictionary is attached.
 const EventLog* Relabel(const EventLog& window, OccurrenceLabeler* labeler,
                         EventLog* scratch) {
   *scratch = EventLog();
@@ -104,19 +98,22 @@ const EventLog* Relabel(const EventLog& window, OccurrenceLabeler* labeler,
   return scratch;
 }
 
-// What the scan walk settled: the algorithm, and steps 1-2's counts in that
-// algorithm's id space (labeled ids on the cyclic path).
+// What the scan walk settled: the algorithm, steps 1-2's counts and, for
+// Algorithms 2 and 3, the distinct activity sets steps 5-6 reduce, both in
+// that algorithm's id space (labeled ids on the cyclic path).
 struct Scan {
   MinerAlgorithm algorithm = MinerAlgorithm::kAuto;
   bool complete = false;  // false: kAuto stopped at a repeat; scan again
   EdgeCounts counts;
+  IdSetTable sets;
   int64_t executions = 0;
   int64_t events = 0;
   OccurrenceLabeler labeler;  // fed on the cyclic path only
 };
 
-// The scan walk, which reads the log ahead of the reduce walk. Each window
-// first has every execution checked the way `algorithm`'s in-memory path
+// The scan walk, the only walk over the store (kAuto on a cyclic log makes
+// it twice, the first time stopping at the first repeat). Each window first
+// has every execution checked the way `algorithm`'s in-memory path
 // would, so the first bad execution in log order is the one reported:
 //   kAuto    SelectAlgorithm's checks, which imply both validations; the
 //            first repeated activity stops the walk (the log is cyclic)
@@ -126,9 +123,11 @@ struct Scan {
 //            Labels are interned in log order, so they match the ids a full
 //            labeling pass would assign.
 // Then the window's precedence pairs are collected (steps 1-2), counters
-// summed. Windows partition the executions, and the per-execution dedup in
-// CollectSpan never crosses executions, so the sums equal the one-shot
-// in-memory collection.
+// summed, and its executions' activity sets are added to the table (not for
+// Algorithm 1, which needs none). Windows partition the executions, and the
+// per-execution dedup in CollectSpan never crosses executions, so the sums
+// equal the one-shot in-memory collection; the table ends up with the same
+// distinct sets as the in-memory one.
 Status ScanWindows(Walk* walk, MinerAlgorithm algorithm, Scan* scan) {
   PROCMINE_SPAN("ooc.collect");
   PROCMINE_PHASE("ooc.collect");
@@ -176,6 +175,10 @@ Status ScanWindows(Walk* walk, MinerAlgorithm algorithm, Scan* scan) {
             CollectPrecedenceEdges(*log, walk->pool, nullptr,
                                    walk->chunk_size);
         for (const auto& [key, count] : counts) scan->counts[key] += count;
+        if (algorithm != MinerAlgorithm::kSpecialDag) {
+          mine_internal::GatherActivitySets(*log, walk->pool,
+                                            walk->chunk_size, &scan->sets);
+        }
         return true;
       }));
   scan->complete = !repeats;
@@ -191,78 +194,26 @@ Status ScanWindows(Walk* walk, MinerAlgorithm algorithm, Scan* scan) {
   return Status::OK();
 }
 
-// Algorithm 2's steps 3-6 from the scanned counts, in the counts' id space
-// (`labeler` non-null: the cyclic miner's labeled ids). The reduce walk runs
-// MarkReductionEdges per window against the global post-SCC DAG, with one
-// memo shared across windows and the marked sets unioned. Phase names and
-// degradation texts match GeneralDagMiner::Mine.
-Result<DirectedGraph> ReduceWalk(Walk* walk, const MinerOptions& options,
-                                 const EdgeCounts& counts, NodeId n,
-                                 OccurrenceLabeler* labeler) {
+// Algorithm 2's steps 3-6 from the scan, in its id space (`n` labeled ids
+// on the cyclic path): no further walk, since steps 5-6 read only the
+// scanned activity sets. Phase names and degradation texts match
+// GeneralDagMiner::Mine.
+Result<DirectedGraph> FinishGeneral(const Walk& walk,
+                                    const MinerOptions& options,
+                                    const Scan& scan, NodeId n) {
   DirectedGraph g =
-      BuildPrecedenceGraph(counts, n, options.noise_threshold, nullptr);
+      BuildPrecedenceGraph(scan.counts, n, options.noise_threshold, nullptr);
   RemoveTwoCycles(&g, nullptr);
   RemoveIntraSccEdges(&g, nullptr);
   if (BudgetCut(options.budget, options.degradation, "general_dag.reduce",
-                kReduceDropped)) {
+                mine_internal::kReduceDropped)) {
     return g;
   }
   PROCMINE_SPAN("general_dag.reduce");
   PROCMINE_PHASE("ooc.reduce");
-  ReductionMemo memo;
-  EventLog scratch;
-  std::unordered_set<uint64_t> marked;
-  bool budget_aborted = false;
-  const int threads = walk->pool == nullptr ? 1 : walk->pool->num_threads();
-  PROCMINE_RETURN_NOT_OK(ForEachWindow(
-      walk, [&](const EventLog& w) -> Result<bool> {
-        const EventLog* log =
-            labeler == nullptr ? &w : Relabel(w, labeler, &scratch);
-        std::vector<ExecutionSpan> spans = log->Shards(
-            PlanChunks(log->num_executions(), threads, walk->chunk_size));
-        std::vector<std::unordered_set<uint64_t>> shard_marked(spans.size());
-        std::vector<Status> shard_status(spans.size());
-        std::vector<uint8_t> shard_aborted(spans.size(), 0);
-        auto run_shard = [&](size_t s) {
-          bool aborted = false;
-          shard_status[s] = mine_internal::MarkReductionEdges(
-              *log, g, spans[s], &memo, options.budget, &aborted,
-              &shard_marked[s]);
-          shard_aborted[s] = aborted ? 1 : 0;
-        };
-        if (walk->pool != nullptr && spans.size() > 1) {
-          walk->pool->ParallelForChunked(spans.size(), run_shard);
-        } else {
-          for (size_t s = 0; s < spans.size(); ++s) run_shard(s);
-        }
-        for (const Status& st : shard_status) {
-          if (!st.ok()) return st;
-        }
-        for (uint8_t aborted : shard_aborted) {
-          if (aborted != 0) {
-            budget_aborted = true;
-            return false;
-          }
-        }
-        for (auto& shard : shard_marked) {
-          marked.insert(shard.begin(), shard.end());
-        }
-        return true;
-      }));
-  if (budget_aborted) {
-    BudgetCut(options.budget, options.degradation, "general_dag.reduce",
-              kReduceDropped);
-    return g;
-  }
-  static obs::Counter* kept = obs::MetricsRegistry::Get().GetCounter(
-      "general_dag.reduction_edges_marked");
-  kept->Add(static_cast<int64_t>(marked.size()));
-  DirectedGraph result(n);
-  for (uint64_t key : marked) {
-    Edge e = UnpackEdge(key);
-    result.AddEdge(e.from, e.to);
-  }
-  return result;
+  return mine_internal::ReduceActivitySets(g, scan.sets, walk.pool,
+                                           walk.chunk_size, options.budget,
+                                           options.degradation);
 }
 
 // Algorithm 1's steps 3-4 from the scanned counts: no further walk.
@@ -340,20 +291,14 @@ Result<ProcessGraph> OutOfCoreMiner::Mine(SegmentStore* store,
   Walk walk{store, limit, pool.get(), options_.chunk_size, stats};
 
   // Progress denominators for the telemetry status surface: the window
-  // visits this mine plans (a scan walk, plus a reduce walk for Algorithms
-  // 2 and 3, plus kAuto's cyclic-detection prefix once it is known) and the
-  // executions it mines. The plan assumes Algorithm 2 until kAuto settles.
+  // visits this mine plans (one walk, plus kAuto's cyclic-detection prefix
+  // once it is known) and the executions it mines.
   static obs::Gauge* windows_total =
       obs::MetricsRegistry::Get().GetGauge("ooc.windows_total");
   static obs::Gauge* executions_total =
       obs::MetricsRegistry::Get().GetGauge("progress.executions_total");
   const int64_t per_walk = WindowsPerWalk(*store, limit);
-  auto plan = [&](MinerAlgorithm algorithm, int64_t prefix) {
-    windows_total->Set(prefix +
-                       per_walk *
-                           (algorithm == MinerAlgorithm::kSpecialDag ? 1 : 2));
-  };
-  plan(options_.algorithm, 0);
+  windows_total->Set(per_walk);
   executions_total->Set(limit);
 
   // One scan walk fixes the algorithm (kAuto), validates, and collects.
@@ -364,7 +309,7 @@ Result<ProcessGraph> OutOfCoreMiner::Mine(SegmentStore* store,
   if (algorithm == MinerAlgorithm::kAuto) {
     PROCMINE_RETURN_NOT_OK(ScanWindows(&walk, algorithm, &scan));
     algorithm = scan.algorithm;
-    plan(algorithm, scan.complete ? 0 : walk.visits);
+    if (!scan.complete) windows_total->Set(walk.visits + per_walk);
   }
   if (algorithm == MinerAlgorithm::kCyclic &&
       BudgetCut(options_.budget, options_.degradation, "cyclic.label",
@@ -399,21 +344,20 @@ Result<ProcessGraph> OutOfCoreMiner::Mine(SegmentStore* store,
       return FinishSpecial(*store, options_, scan.counts);
     case MinerAlgorithm::kGeneralDag: {
       PROCMINE_SPAN("general_dag.mine");
-      PROCMINE_ASSIGN_OR_RETURN(
-          DirectedGraph dag,
-          ReduceWalk(&walk, options_, scan.counts, n, nullptr));
+      PROCMINE_ASSIGN_OR_RETURN(DirectedGraph dag,
+                                FinishGeneral(walk, options_, scan, n));
       return ProcessGraph(std::move(dag), store->dictionary().names());
     }
     case MinerAlgorithm::kCyclic: {
-      // Steps 3-7 in the labeled id space (the reduce walk relabels each
-      // window on the fly, so the labeled log is never whole in memory),
-      // then step 8: merge equivalent sets, keeping edges between different
+      // Steps 3-7 in the labeled id space (the scan relabeled each window
+      // on the fly, so the labeled log is never whole in memory), then step
+      // 8: merge equivalent sets, keeping edges between different
       // activities.
       PROCMINE_SPAN("cyclic.mine");
       PROCMINE_ASSIGN_OR_RETURN(
           DirectedGraph labeled_dag,
-          ReduceWalk(&walk, options_, scan.counts,
-                     scan.labeler.labeled_dictionary().size(), &scan.labeler));
+          FinishGeneral(walk, options_, scan,
+                        scan.labeler.labeled_dictionary().size()));
       PROCMINE_SPAN("cyclic.merge");
       const std::vector<ActivityId>& to_base = scan.labeler.labeled_to_base();
       DirectedGraph merged(n);

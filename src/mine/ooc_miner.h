@@ -11,19 +11,19 @@
 // threads x chunk-size x segment-size, while resident memory stays bounded
 // by the store's LRU cache plus one window's accumulators.
 //
-// Per-walk shape (S = non-empty windows in one walk):
-//   scan     one walk: per window, the checks the algorithm needs (kAuto:
-//            SelectAlgorithm's, which imply both validations; general:
-//            no repeats; special: exactly once), occurrence labeling and an
-//            on-the-fly relabel on the cyclic path, then
-//            CollectPrecedenceEdges with counters summed
-//   reduce   Algorithms 2 and 3 only: MarkReductionEdges per window against
-//            the global DAG, with one ReductionMemo shared across windows;
-//            cyclic windows are relabeled on the fly (the labeled log is
-//            never materialized whole)
-// Window visits per mine: S for Algorithm 1, 2S for Algorithms 2 and 3.
-// kAuto on a cyclic log adds the k windows scanned up to the first repeated
-// activity, whose counts are discarded: k + 2S.
+// Per-walk shape (S = non-empty windows in one walk): one walk. Per window
+// it runs the checks the algorithm needs (kAuto: SelectAlgorithm's, which
+// imply both validations; general: no repeats; special: exactly once),
+// occurrence labeling and an on-the-fly relabel on the cyclic path, then
+// CollectPrecedenceEdges with counters summed, and for Algorithms 2 and 3
+// adds each execution's sorted activity set to one table of distinct sets.
+// Steps 3-6 then run on those sufficient statistics alone:
+// ReduceActivitySets reduces each distinct set once against the global
+// post-SCC DAG, exactly as GeneralDagMiner does in memory, so no window is
+// decoded twice.
+// Window visits per mine: S for every algorithm. kAuto on a cyclic log adds
+// the k windows scanned up to the first repeated activity, whose counts are
+// discarded: k + S.
 //
 // Budget semantics match the in-memory path: the same BudgetCut phases fire
 // in the same order (the collect cut is probed once the scan is done, and
@@ -45,9 +45,9 @@
 
 namespace procmine {
 
-/// What one out-of-core run touched. Every window visit counts, in every walk:
-/// a general-DAG run over S non-empty segments reports 2S windows, a
-/// special-DAG run S, and a kAuto cyclic run k + 2S (see above).
+/// What one out-of-core run touched. Every window visit counts: a run over S
+/// non-empty segments reports S windows, and a kAuto cyclic run k + S, the
+/// k windows of its cyclic-detection prefix included (see above).
 struct OocMineStats {
   int64_t windows = 0;     ///< window visits across all walks
   int64_t executions = 0;  ///< executions mined (after any --max-executions cap)

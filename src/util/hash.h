@@ -1,7 +1,7 @@
 // HashBytes: a fast 64-bit byte-string hash (FNV-1a with a wyhash-style
 // final mix) for hot-path hash maps that would otherwise have to build a
-// std::string key just to hash it — e.g. the general-DAG reduction memo,
-// which keys on an activity-id sequence.
+// std::string key just to hash it — e.g. the general-DAG miner's table of
+// distinct activity sets (util/id_set_table.h), keyed on sorted id vectors.
 //
 // Not cryptographic and not stable across releases; never persist these
 // values to disk.

@@ -14,12 +14,16 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "log/event_log.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
+#include "mine/cyclic_miner.h"
+#include "mine/general_dag_miner.h"
 #include "mine/miner.h"
 #include "mine/ooc_miner.h"
 #include "synth/log_generator.h"
@@ -875,9 +879,9 @@ int64_t WindowOf(const SegmentStore& store, int64_t exec) {
 
 TEST_F(OocIdentityTest, WalkCountsWithOneResidentSegment) {
   // With one segment resident every window visit decodes, so the store's
-  // load count is the miner's walk count: one scan walk, one reduce walk
-  // for Algorithms 2 and 3, and for kAuto on a cyclic log the k windows
-  // scanned up to the first repeat. Each model still matches in memory.
+  // load count is the miner's walk count: one walk for every algorithm, and
+  // for kAuto on a cyclic log the k windows scanned up to the first repeat.
+  // Each model still matches in memory.
   RandomDagOptions dag_options;
   dag_options.num_activities = 10;
   dag_options.edge_density = PaperEdgeDensity(10);
@@ -900,16 +904,15 @@ TEST_F(OocIdentityTest, WalkCountsWithOneResidentSegment) {
     const char* name;
     const EventLog* log;
     MinerAlgorithm algorithm;
-    int64_t walks;   // full walks
-    bool prefix;     // plus kAuto's cyclic-detection prefix
+    bool prefix;  // one full walk plus kAuto's cyclic-detection prefix
   };
   const Case kCases[] = {
-      {"auto general", &*general, MinerAlgorithm::kAuto, 2, false},
-      {"explicit general", &*general, MinerAlgorithm::kGeneralDag, 2, false},
-      {"auto special", &special, MinerAlgorithm::kAuto, 1, false},
-      {"explicit special", &special, MinerAlgorithm::kSpecialDag, 1, false},
-      {"auto cyclic", &cyclic, MinerAlgorithm::kAuto, 2, true},
-      {"explicit cyclic", &cyclic, MinerAlgorithm::kCyclic, 2, false},
+      {"auto general", &*general, MinerAlgorithm::kAuto, false},
+      {"explicit general", &*general, MinerAlgorithm::kGeneralDag, false},
+      {"auto special", &special, MinerAlgorithm::kAuto, false},
+      {"explicit special", &special, MinerAlgorithm::kSpecialDag, false},
+      {"auto cyclic", &cyclic, MinerAlgorithm::kAuto, true},
+      {"explicit cyclic", &cyclic, MinerAlgorithm::kCyclic, false},
   };
   for (const Case& c : kCases) {
     SetUp();
@@ -931,7 +934,7 @@ TEST_F(OocIdentityTest, WalkCountsWithOneResidentSegment) {
     OocMineStats stats;
     auto ooc = OutOfCoreMiner(options).Mine(&*store, &stats);
     ASSERT_TRUE(ooc.ok()) << c.name << ": " << ooc.status().ToString();
-    const int64_t expected = k + c.walks * segments;
+    const int64_t expected = k + segments;
     EXPECT_EQ(store->Footprint().loads, expected) << c.name;
     EXPECT_EQ(stats.windows, expected) << c.name;
 
@@ -1045,6 +1048,179 @@ TEST_F(OocIdentityTest, FirstBadExecutionAcrossSegmentsMatchesInMemory) {
     EXPECT_EQ(ooc.status().message(), reference.status().message())
         << c.name;
   }
+}
+
+/// Number of distinct sorted activity sets among `log`'s executions: the
+/// oracle for the table steps 5-6 reduce.
+int64_t CountDistinctSets(const EventLog& log) {
+  std::set<std::vector<NodeId>> sets;
+  for (const Execution& exec : log.executions()) {
+    std::vector<NodeId> ids = exec.Sequence();
+    std::sort(ids.begin(), ids.end());
+    sets.insert(std::move(ids));
+  }
+  return static_cast<int64_t>(sets.size());
+}
+
+/// A log with repeated activities and many repeated executions: random
+/// sequences of length 3-8 over six activities.
+EventLog RepeatingCyclicLog(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<std::string>> sequences;
+  for (int e = 0; e < 120; ++e) {
+    std::vector<std::string> seq;
+    const int64_t len = rng.UniformRange(3, 8);
+    for (int64_t i = 0; i < len; ++i) {
+      seq.push_back(std::string(1, static_cast<char>('A' + rng.Uniform(6))));
+    }
+    sequences.push_back(std::move(seq));
+  }
+  return EventLog::FromSequences(sequences);
+}
+
+TEST_F(OocIdentityTest, DistinctActivitySetsReduceLikeEveryExecution) {
+  // Steps 5-6 reduce each distinct activity set once. Reducing every
+  // execution instead (memoize_reductions = false) must give the same DOT
+  // at every threads x chunk size; the memo counters must count the
+  // distinct sets and the executions; and the out-of-core miner, which
+  // gathers the sets during its one walk, must match at several segment
+  // sizes, one resident segment included. Cyclic logs are checked in the
+  // labeled id space, where Algorithm 3 runs steps 5-6.
+  obs::SetMetricsEnabled(true);
+  auto counters = [] {
+    obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Get().Snapshot();
+    return std::pair<int64_t, int64_t>(
+        snapshot.CounterTotal("general_dag.memo_hits"),
+        snapshot.CounterTotal("general_dag.memo_misses"));
+  };
+  for (uint64_t seed : {5, 9}) {
+    RandomDagOptions dag_options;
+    dag_options.num_activities = 10;
+    dag_options.edge_density = PaperEdgeDensity(10);
+    dag_options.seed = seed;
+    WalkLogOptions walk;
+    walk.num_executions = 150;
+    walk.seed = seed + 1;
+    auto general = GenerateWalkLog(GenerateRandomDag(dag_options), walk);
+    ASSERT_TRUE(general.ok());
+    const EventLog* logs[] = {&*general, nullptr};
+    EventLog cyclic = RepeatingCyclicLog(seed);
+    logs[1] = &cyclic;
+    for (const EventLog* log : logs) {
+      const bool is_cyclic = log == &cyclic;
+      for (int64_t threshold : {1, 2, 3}) {
+        const std::string context =
+            StrFormat("%s seed=%llu T=%lld", is_cyclic ? "cyclic" : "general",
+                      static_cast<unsigned long long>(seed),
+                      static_cast<long long>(threshold));
+        // In memory: memo on and off, threads x chunk size.
+        EventLog labeled =
+            is_cyclic ? CyclicMiner::LabelOccurrences(*log, nullptr) : *log;
+        const int64_t executions =
+            static_cast<int64_t>(labeled.num_executions());
+        const int64_t distinct = CountDistinctSets(labeled);
+        ASSERT_LT(distinct, executions) << context;
+        std::string reference_dot;
+        for (int threads : {1, 2, 4}) {
+          for (size_t chunk : {0, 1, 7}) {
+            for (bool memo : {false, true}) {
+              GeneralDagMinerOptions options;
+              options.noise_threshold = threshold;
+              options.memoize_reductions = memo;
+              options.num_threads = threads;
+              options.chunk_size = chunk;
+              obs::MetricsRegistry::Get().ResetAll();
+              auto mined = GeneralDagMiner(options).Mine(labeled);
+              ASSERT_TRUE(mined.ok()) << context;
+              if (reference_dot.empty()) reference_dot = mined->ToDot();
+              const std::string where = StrFormat(
+                  "%s threads=%d chunk=%zu memo=%d", context.c_str(), threads,
+                  chunk, memo ? 1 : 0);
+              EXPECT_EQ(mined->ToDot(), reference_dot) << where;
+              auto [hits, misses] = counters();
+              EXPECT_EQ(hits + misses, executions) << where;
+              EXPECT_EQ(misses, memo ? distinct : executions) << where;
+            }
+          }
+        }
+        // Out of core against ProcessMiner on the materialized store.
+        for (int64_t segment_events : {16, 128}) {
+          for (int64_t resident : {int64_t{256} << 20, int64_t{1}}) {
+            SetUp();
+            SegmentStoreOptions store_options;
+            store_options.target_segment_events = segment_events;
+            WriteStore(*log, store_options);
+            store_options.max_resident_bytes = resident;
+            auto store = SegmentStore::Open(dir_, store_options);
+            ASSERT_TRUE(store.ok());
+            auto materialized = store->Materialize();
+            ASSERT_TRUE(materialized.ok());
+            MinerOptions options;
+            options.noise_threshold = threshold;
+            auto reference = ProcessMiner(options).Mine(*materialized);
+            ASSERT_TRUE(reference.ok()) << context;
+            for (int threads : {1, 2, 4}) {
+              options.num_threads = threads;
+              const std::string where = StrFormat(
+                  "%s seg=%lld resident=%lld threads=%d", context.c_str(),
+                  static_cast<long long>(segment_events),
+                  static_cast<long long>(resident), threads);
+              obs::MetricsRegistry::Get().ResetAll();
+              auto ooc = OutOfCoreMiner(options).Mine(&*store);
+              ASSERT_TRUE(ooc.ok()) << where << ": " << ooc.status().ToString();
+              EXPECT_EQ(ooc->ToDot(), reference->ToDot()) << where;
+              auto [hits, misses] = counters();
+              EXPECT_EQ(hits + misses, executions) << where;
+              EXPECT_EQ(misses, distinct) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  obs::MetricsRegistry::Get().ResetAll();
+  obs::SetMetricsEnabled(false);
+}
+
+TEST_F(OocIdentityTest, ResidentMineExportsZeroCacheHits) {
+  // A one-walk mine over a store whose segments all stay resident loads
+  // each segment once and never hits the cache. The cache-hit counter must
+  // still be exported, at 0, in the snapshot and the OpenMetrics text.
+  EventLog log = EventLog::FromCompactStrings(
+      {"ABCE", "ACE", "ABCE", "ABE", "ACBE", "ABCE", "ACE", "ABE"});
+  SegmentStoreOptions store_options;
+  store_options.target_segment_events = 8;
+  WriteStore(log, store_options);
+  auto store = SegmentStore::Open(dir_, store_options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_GE(store->num_segments(), 3u);
+
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry::Get().ResetAll();
+  MinerOptions options;
+  options.algorithm = MinerAlgorithm::kGeneralDag;
+  ASSERT_TRUE(OutOfCoreMiner(options).Mine(&*store).ok());
+  EXPECT_EQ(store->Footprint().loads,
+            static_cast<int64_t>(store->num_segments()));
+  EXPECT_EQ(store->Footprint().cache_hits, 0);
+
+  obs::TelemetrySample sample;
+  sample.metrics = obs::MetricsRegistry::Get().Snapshot();
+  bool exported = false;
+  for (const auto& counter : sample.metrics.counters) {
+    if (counter.name == "segment.cache_hits") {
+      exported = true;
+      EXPECT_EQ(counter.value, 0);
+    }
+  }
+  EXPECT_TRUE(exported);
+  const std::string text = obs::OpenMetricsText(sample);
+  EXPECT_NE(text.find("# TYPE procmine_segment_cache_hits counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nprocmine_segment_cache_hits_total 0\n"),
+            std::string::npos);
+  obs::MetricsRegistry::Get().ResetAll();
+  obs::SetMetricsEnabled(false);
 }
 
 }  // namespace
