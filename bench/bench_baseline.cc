@@ -14,7 +14,7 @@
 #include "bench_common.h"
 #include "mine/conformance.h"
 #include "mine/fsm_baseline.h"
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "mine/sequential_patterns.h"
 #include "util/timer.h"
 
@@ -33,7 +33,8 @@ int main() {
         MakeSyntheticWorkload(vertices, m, /*seed=*/500 + vertices);
 
     StopWatch graph_watch;
-    auto mined = GeneralDagMiner().Mine(w.log);
+    auto mined =
+        ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(w.log);
     double graph_seconds = graph_watch.ElapsedSeconds();
     PROCMINE_CHECK_OK(mined.status());
     ConformanceChecker checker(&*mined);
@@ -73,7 +74,8 @@ int main() {
     const size_t m = QuickMode() ? 100 : 300;
     SyntheticWorkload w =
         MakeSyntheticWorkload(vertices, m, /*seed=*/500 + vertices);
-    auto mined = GeneralDagMiner().Mine(w.log);
+    auto mined =
+        ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(w.log);
     PROCMINE_CHECK_OK(mined.status());
     Automaton fsm = LearnKTailAutomaton(w.log, 2);
     int64_t max_reuse = 0;

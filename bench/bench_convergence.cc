@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "mine/metrics.h"
 #include "log/transform.h"
 
@@ -26,7 +26,8 @@ int64_t FirstConverged(const ProcessGraph& truth, const EventLog& full_log,
   for (size_t m : schedule) {
     if (m > full_log.num_executions()) break;
     EventLog prefix = TakeExecutions(full_log, m);
-    auto mined = GeneralDagMiner().Mine(prefix);
+    auto mined =
+        ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(prefix);
     if (!mined.ok()) continue;
     if (predicate(CompareClosuresByName(truth, *mined),
                   CompareByName(truth, *mined))) {

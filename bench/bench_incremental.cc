@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "mine/incremental.h"
 #include "mine/metrics.h"
 #include "util/timer.h"
@@ -45,7 +45,8 @@ int main() {
     }
 
     StopWatch batch_watch;
-    auto batch_model = GeneralDagMiner().Mine(prefix);
+    auto batch_model =
+        ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(prefix);
     double batch_seconds = batch_watch.ElapsedSeconds();
     batch_total += batch_seconds;
     PROCMINE_CHECK_OK(batch_model.status());

@@ -4,15 +4,14 @@
 //  * Tarjan SCC
 //  * precedence-edge collection (the O(n^2 m) scan of Algorithms 1-2)
 //  * Algorithm 1 vs Algorithm 2 end-to-end on exactly-once logs
-//  * Algorithm 2 with and without per-execution reduction memoization
+//  * Algorithm 2 end-to-end on a subset (walker) log
 
 #include <benchmark/benchmark.h>
 
 #include "graph/algorithms.h"
 #include "graph/transitive_reduction.h"
 #include "mine/edge_collector.h"
-#include "mine/general_dag_miner.h"
-#include "mine/special_dag_miner.h"
+#include "mine/miner.h"
 #include "synth/log_generator.h"
 #include "synth/random_dag.h"
 
@@ -82,7 +81,7 @@ BENCHMARK(BM_EdgeCollection)->Range(8, 64);
 void BM_MineSpecialDag(benchmark::State& state) {
   EventLog log =
       MakeExactlyOnceLog(20, static_cast<size_t>(state.range(0)), 8);
-  SpecialDagMiner miner;
+  ProcessMiner miner({.algorithm = MinerAlgorithm::kSpecialDag});
   for (auto _ : state) {
     auto mined = miner.Mine(log);
     benchmark::DoNotOptimize(mined);
@@ -94,7 +93,7 @@ BENCHMARK(BM_MineSpecialDag)->Range(16, 1024)->Complexity();
 void BM_MineGeneralDag(benchmark::State& state) {
   EventLog log =
       MakeExactlyOnceLog(20, static_cast<size_t>(state.range(0)), 8);
-  GeneralDagMiner miner;
+  ProcessMiner miner({.algorithm = MinerAlgorithm::kGeneralDag});
   for (auto _ : state) {
     auto mined = miner.Mine(log);
     benchmark::DoNotOptimize(mined);
@@ -104,8 +103,8 @@ void BM_MineGeneralDag(benchmark::State& state) {
 BENCHMARK(BM_MineGeneralDag)->Range(16, 1024)->Complexity();
 
 void BM_MineGeneralWalkerLog(benchmark::State& state) {
-  // Ablation: memoized (1) vs unmemoized (0) per-execution reductions on a
-  // subset log, where executions repeat activity sets heavily.
+  // Algorithm 2 on a subset log, where executions repeat activity sets
+  // heavily and steps 5-6 reduce each distinct set once.
   RandomDagOptions options;
   options.num_activities = 25;
   options.edge_density = PaperEdgeDensity(25);
@@ -114,15 +113,13 @@ void BM_MineGeneralWalkerLog(benchmark::State& state) {
   EventLog log =
       GenerateWalkLog(truth, {.num_executions = 500, .seed = 10})
           .ValueOrDie();
-  GeneralDagMinerOptions miner_options;
-  miner_options.memoize_reductions = state.range(0) == 1;
-  GeneralDagMiner miner(miner_options);
+  ProcessMiner miner({.algorithm = MinerAlgorithm::kGeneralDag});
   for (auto _ : state) {
     auto mined = miner.Mine(log);
     benchmark::DoNotOptimize(mined);
   }
 }
-BENCHMARK(BM_MineGeneralWalkerLog)->Arg(0)->Arg(1);
+BENCHMARK(BM_MineGeneralWalkerLog);
 
 }  // namespace
 }  // namespace procmine

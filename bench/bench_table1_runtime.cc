@@ -12,7 +12,7 @@
 
 #include "bench_common.h"
 #include "log/writer.h"
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "util/timer.h"
 
 using namespace procmine;
@@ -41,11 +41,12 @@ int main() {
           MakeSyntheticWorkload(n, m, /*seed=*/1000 + n);
       log_bytes[row][col] = LogWriter::SerializedBytes(w.log);
 
-      GeneralDagMinerOptions miner_options;
+      MinerOptions miner_options;
+      miner_options.algorithm = MinerAlgorithm::kGeneralDag;
       miner_options.num_threads = BenchThreads();
       if (PhaseMode()) ResetPhaseSpans();
       StopWatch watch;
-      auto mined = GeneralDagMiner(miner_options).Mine(w.log);
+      auto mined = ProcessMiner(miner_options).Mine(w.log);
       double seconds = watch.ElapsedSeconds();
       PROCMINE_CHECK_OK(mined.status());
       std::printf(" | %9.3f", seconds);

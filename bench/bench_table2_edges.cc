@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "mine/metrics.h"
 
 using namespace procmine;
@@ -36,7 +36,8 @@ int main() {
     std::printf("Edges found %-10zu", m);
     for (int32_t n : vertex_axis) {
       SyntheticWorkload w = MakeSyntheticWorkload(n, m, /*seed=*/1000 + n);
-      auto mined = GeneralDagMiner().Mine(w.log);
+      auto mined =
+          ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(w.log);
       PROCMINE_CHECK_OK(mined.status());
       std::printf(" | %8lld",
                   static_cast<long long>(mined->graph().num_edges()));
@@ -55,7 +56,8 @@ int main() {
   for (int32_t n : vertex_axis) {
     SyntheticWorkload w =
         MakeSyntheticWorkload(n, execution_axis.back(), /*seed=*/1000 + n);
-    auto mined = GeneralDagMiner().Mine(w.log);
+    auto mined =
+        ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(w.log);
     PROCMINE_CHECK_OK(mined.status());
     GraphComparison cmp = CompareByName(w.truth, *mined);
     // Dependency-level agreement: extra shortcut edges inside the true

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "util/timer.h"
@@ -61,12 +61,13 @@ struct RoundTimes {
 /// work to the run but is immune to host scheduler jitter, which dwarfs a
 /// sub-percent effect in wall-clock on shared machines.
 RoundTimes MineRound(const SyntheticWorkload& w, int threads, int iters) {
-  GeneralDagMinerOptions options;
+  MinerOptions options;
+  options.algorithm = MinerAlgorithm::kGeneralDag;
   options.num_threads = threads;
   const double cpu_before = ProcessCpuSeconds();
   StopWatch watch;
   for (int i = 0; i < iters; ++i) {
-    auto mined = GeneralDagMiner(options).Mine(w.log);
+    auto mined = ProcessMiner(options).Mine(w.log);
     PROCMINE_CHECK_OK(mined.status());
   }
   RoundTimes times;

@@ -6,10 +6,8 @@
 #include <iostream>
 
 #include "mine/cyclic_miner.h"
-#include "mine/general_dag_miner.h"
 #include "mine/miner.h"
 #include "mine/relations.h"
-#include "mine/special_dag_miner.h"
 
 using namespace procmine;
 
@@ -48,7 +46,8 @@ void Example3() {
 void Example6() {
   std::cout << "\nExample 6 (Algorithm 1 / Figure 3)\n";
   EventLog log = EventLog::FromCompactStrings({"ABCDE", "ACDBE", "ACBDE"});
-  auto mined = SpecialDagMiner().Mine(log);
+  auto mined =
+      ProcessMiner({.algorithm = MinerAlgorithm::kSpecialDag}).Mine(log);
   std::cout << "  log {ABCDE, ACDBE, ACBDE}\n";
   PrintGraph(*mined, "minimal conformal graph (= Figure 1)");
 }
@@ -57,7 +56,8 @@ void Example7() {
   std::cout << "\nExample 7 (Algorithm 2 / Figure 4)\n";
   EventLog log =
       EventLog::FromCompactStrings({"ABCF", "ACDF", "ADEF", "AECF"});
-  auto mined = GeneralDagMiner().Mine(log);
+  auto mined =
+      ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(log);
   std::cout << "  log {ABCF, ACDF, ADEF, AECF}; SCC {C,D,E} dissolved\n";
   PrintGraph(*mined, "conformal graph");
 }
@@ -67,13 +67,13 @@ void Example8() {
   EventLog log = EventLog::FromCompactStrings(
       {"ABDCE", "ABDCBCE", "ABCBDCE", "ADE"});
   std::vector<ActivityId> to_base;
-  EventLog labeled = CyclicMiner::LabelOccurrences(log, &to_base);
+  EventLog labeled = LabelOccurrences(log, &to_base);
   std::cout << "  log {ABDCE, ABDCBCE, ABCBDCE, ADE}; labeled alphabet:";
   for (const std::string& name : labeled.dictionary().names()) {
     std::cout << " " << name;
   }
   std::cout << "\n";
-  auto mined = CyclicMiner().Mine(log);
+  auto mined = ProcessMiner({.algorithm = MinerAlgorithm::kCyclic}).Mine(log);
   PrintGraph(*mined, "merged cyclic graph (B<->C cycle)");
 }
 

@@ -7,11 +7,13 @@
 # recovery/salvage machinery it reuses, the telemetry sampler's
 # /proc parsing + ring/serialization paths, and the streaming server's
 # wire/journal decoders (length-prefixed frames and crc-framed journal
-# records parsed from hostile or torn byte streams), and the
-# open-addressing table of distinct activity sets the out-of-core miner
-# fills. Run whenever
-# src/log/segment_store, src/mine/ooc_miner, src/obs/telemetry,
-# src/serve/, util/id_set_table, or the binary-log salvage path changes.
+# records parsed from hostile or torn byte streams), the open-addressing
+# table of distinct activity sets the mining pipeline fills, and the
+# per-algorithm miner suites, since the pipeline (src/mine/pipeline.cc)
+# that serves the out-of-core miner also serves every in-memory mine. Run
+# whenever src/log/segment_store, src/mine/pipeline, src/mine/ooc_miner,
+# src/obs/telemetry, src/serve/, util/id_set_table, or the binary-log
+# salvage path changes.
 #
 # Usage: scripts/asan-verify.sh [build-dir]   (default: build-asan)
 
@@ -28,7 +30,8 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j \
   --target segment_store_test binary_log_test recovery_test \
            format_fuzz_test budget_test telemetry_test serve_test \
-           id_set_table_test
+           id_set_table_test miner_test general_dag_miner_test \
+           cyclic_miner_test special_dag_miner_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|IdSetTable'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest'

@@ -1,10 +1,5 @@
 #include "mine/cyclic_miner.h"
 
-#include <memory>
-
-#include "mine/general_dag_miner.h"
-#include "mine/provenance.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -37,67 +32,29 @@ void OccurrenceLabeler::Observe(const Execution& exec,
   for (size_t a : touched_) occurrence_[a] = 0;
 }
 
-Execution OccurrenceLabeler::Relabel(const Execution& exec) {
-  Execution rewritten(exec.name());
-  touched_.clear();
-  for (const ActivityInstance& inst : exec.instances()) {
-    size_t a = static_cast<size_t>(inst.activity);
-    if (occurrence_[a] == 0) touched_.push_back(a);
-    size_t k = static_cast<size_t>(++occurrence_[a]);
-    ActivityInstance copy = inst;
-    copy.activity = label_ids_[a][k - 1];
-    rewritten.Append(std::move(copy));
-  }
-  for (size_t a : touched_) occurrence_[a] = 0;
-  return rewritten;
-}
-
-EventLog CyclicMiner::LabelOccurrences(
-    const EventLog& log, std::vector<ActivityId>* labeled_to_base) {
-  return LabelOccurrences(log, labeled_to_base, nullptr);
-}
-
-EventLog CyclicMiner::LabelOccurrences(const EventLog& log,
-                                       std::vector<ActivityId>* labeled_to_base,
-                                       ThreadPool* pool) {
-  PROCMINE_SPAN("cyclic.label");
-  EventLog labeled;
-  const size_t n = static_cast<size_t>(log.num_activities());
-
-  // Pass 1 (sequential, integer-only): intern the labels "A#1", "A#2", ...
-  // in first-encounter order — the same order a per-instance Intern() walk
-  // would produce, so labeled ids are stable across thread counts.
-  OccurrenceLabeler labeler;
-  for (const Execution& exec : log.executions()) {
-    labeler.Observe(exec, log.dictionary());
-  }
-  labeled.dictionary() = labeler.labeled_dictionary();
+EventLog RelabelLog(const EventLog& log, const OccurrenceLabeler& labeler,
+                    ThreadPool* pool) {
   const std::vector<std::vector<ActivityId>>& label_ids = labeler.label_ids();
-  if (labeled_to_base != nullptr) *labeled_to_base = labeler.labeled_to_base();
-
-  // Pass 2 (parallel): rewrite each execution against the fixed label table.
-  // Executions are independent, and the output slot order is the log order,
-  // so the labeled log is byte-identical for any shard count.
   std::vector<Execution> out(log.num_executions());
   std::vector<ExecutionSpan> spans = log.Shards(
       pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads()));
-  auto relabel_span = [&log, &label_ids, &out, n](ExecutionSpan span) {
+  auto relabel_span = [&log, &label_ids, &out](ExecutionSpan span) {
     PROCMINE_SPAN("cyclic.relabel_shard");
-    std::vector<int64_t> occ(n, 0);
-    std::vector<size_t> local_touched;
+    std::vector<int64_t> occurrence(label_ids.size(), 0);
+    std::vector<size_t> touched;
     for (size_t e = span.begin; e < span.end; ++e) {
       const Execution& exec = log.execution(e);
       Execution rewritten(exec.name());
-      local_touched.clear();
+      touched.clear();
       for (const ActivityInstance& inst : exec.instances()) {
         size_t a = static_cast<size_t>(inst.activity);
-        if (occ[a] == 0) local_touched.push_back(a);
-        size_t k = static_cast<size_t>(++occ[a]);
+        if (occurrence[a] == 0) touched.push_back(a);
+        size_t k = static_cast<size_t>(++occurrence[a]);
         ActivityInstance copy = inst;
         copy.activity = label_ids[a][k - 1];
         rewritten.Append(std::move(copy));
       }
-      for (size_t a : local_touched) occ[a] = 0;
+      for (size_t a : touched) occurrence[a] = 0;
       out[e] = std::move(rewritten);
     }
   };
@@ -107,69 +64,23 @@ EventLog CyclicMiner::LabelOccurrences(const EventLog& log,
   } else {
     for (const ExecutionSpan& span : spans) relabel_span(span);
   }
+  EventLog labeled;
   for (Execution& exec : out) labeled.AddExecution(std::move(exec));
-  static obs::Counter* labels =
-      obs::MetricsRegistry::Get().GetCounter("cyclic.labels_created");
-  labels->Add(labeled.num_activities());
   return labeled;
 }
 
-Result<ProcessGraph> CyclicMiner::Mine(const EventLog& log) const {
-  PROCMINE_SPAN("cyclic.mine");
-  if (log.num_activities() == 0 || log.num_executions() == 0) {
-    return Status::InvalidArgument("log is empty");
+EventLog LabelOccurrences(const EventLog& log,
+                          std::vector<ActivityId>* labeled_to_base,
+                          ThreadPool* pool) {
+  PROCMINE_SPAN("cyclic.label");
+  OccurrenceLabeler labeler;
+  for (const Execution& exec : log.executions()) {
+    labeler.Observe(exec, log.dictionary());
   }
-
-  if (BudgetCut(options_.budget, options_.degradation, "cyclic.label",
-                "occurrence labeling and all later phases skipped; the "
-                "model has no edges")) {
-    if (options_.provenance != nullptr) {
-      options_.provenance->SetActivityNames(log.dictionary().names());
-    }
-    return ProcessGraph(DirectedGraph(log.num_activities()),
-                        log.dictionary().names());
-  }
-
-  const int num_threads = ResolveThreadCount(options_.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1 &&
-      log.num_executions() >= ThreadPool::kSmallInputInlineThreshold) {
-    pool = std::make_unique<ThreadPool>(num_threads);
-  }
-
-  // Steps 2-3: uniquely label each occurrence.
-  std::vector<ActivityId> labeled_to_base;
-  EventLog labeled = LabelOccurrences(log, &labeled_to_base, pool.get());
-
-  // Steps 3-7: the Algorithm 2 machinery on the labeled (repeat-free) log.
-  // The budget rides along: an inner cut yields a conformal-but-unminimized
-  // labeled graph, which still merges into a valid (degraded) base model.
-  GeneralDagMinerOptions general_options;
-  general_options.noise_threshold = options_.noise_threshold;
-  general_options.num_threads = num_threads;
-  general_options.chunk_size = options_.chunk_size;
-  general_options.provenance = options_.provenance;
-  general_options.budget = options_.budget;
-  general_options.degradation = options_.degradation;
-  GeneralDagMiner general(general_options);
-  PROCMINE_ASSIGN_OR_RETURN(ProcessGraph labeled_graph, general.Mine(labeled));
-  if (options_.provenance != nullptr) {
-    // The inner run recorded labeled names; attach the merge-back mapping so
-    // report consumers can relate "A#2 -> B#1" to the base edge A -> B.
-    options_.provenance->SetBaseMapping(labeled_to_base,
-                                        log.dictionary().names());
-  }
-
-  // Step 8: merge equivalent sets; keep edges between different activities.
-  PROCMINE_SPAN("cyclic.merge");
-  DirectedGraph merged(log.num_activities());
-  for (const Edge& e : labeled_graph.graph().Edges()) {
-    ActivityId from = labeled_to_base[static_cast<size_t>(e.from)];
-    ActivityId to = labeled_to_base[static_cast<size_t>(e.to)];
-    PROCMINE_CHECK(from >= 0 && to >= 0);
-    if (from != to) merged.AddEdge(from, to);
-  }
-  return ProcessGraph(std::move(merged), log.dictionary().names());
+  EventLog labeled = RelabelLog(log, labeler, pool);
+  labeled.dictionary() = labeler.labeled_dictionary();
+  if (labeled_to_base != nullptr) *labeled_to_base = labeler.labeled_to_base();
+  return labeled;
 }
 
 }  // namespace procmine

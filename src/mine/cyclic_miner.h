@@ -1,4 +1,4 @@
-// Algorithm 3 (Cyclic Graphs), Section 5 of the paper.
+// Algorithm 3 (Cyclic Graphs), Section 5 of the paper: occurrence labeling.
 //
 // Cycles make repeated appearances of an activity legitimate, which breaks
 // Algorithms 1-2. The fix: label the k-th occurrence of activity A in an
@@ -7,7 +7,9 @@
 // finally merge the equivalent sets {A#1, A#2, ...} back into A. An edge
 // (A, B) appears in the merged graph iff some edge connected an instance of
 // A to an instance of B with A != B (step 8: edges between instances of the
-// SAME activity are dropped by the merge).
+// SAME activity are dropped by the merge). The pipeline (mine/pipeline.h)
+// runs the labeling window by window and does the merge; this file holds
+// the labeling itself.
 
 #ifndef PROCMINE_MINE_CYCLIC_MINER_H_
 #define PROCMINE_MINE_CYCLIC_MINER_H_
@@ -16,30 +18,22 @@
 #include <vector>
 
 #include "log/event_log.h"
-#include "util/budget.h"
-#include "util/result.h"
-#include "workflow/process_graph.h"
 
 namespace procmine {
 
 class ThreadPool;
-class ProvenanceRecorder;
 
 /// Incremental occurrence labeling: the table "k-th occurrence of A is
-/// pseudo-activity A#k", built one execution at a time so the out-of-core
-/// path can stream a store through pass 1 without materializing the labeled
-/// log. Observe() in log order reproduces exactly the first-encounter
-/// interning order of CyclicMiner::LabelOccurrences; Relabel() then rewrites
-/// any execution against the finished table. Single-threaded.
+/// pseudo-activity A#k", built one execution at a time so a windowed mine
+/// can label a store without materializing the labeled log. Observe() in
+/// log order interns labels in first-encounter order, so labeled ids are a
+/// pure function of the log; RelabelLog() then rewrites executions against
+/// the table. Single-threaded.
 class OccurrenceLabeler {
  public:
-  /// Pass 1: extends the label table with `exec`'s occurrences. `base_dict`
-  /// names the activity ids `exec` uses; call in log order.
+  /// Extends the label table with `exec`'s occurrences. `base_dict` names
+  /// the activity ids `exec` uses; call in log order.
   void Observe(const Execution& exec, const ActivityDictionary& base_dict);
-
-  /// Pass 2: rewrites one execution against the table built so far. Every
-  /// occurrence must already have been Observed.
-  Execution Relabel(const Execution& exec);
 
   /// The labeled dictionary ("A#1", "B#1", "A#2", ...).
   const ActivityDictionary& labeled_dictionary() const { return labeled_dict_; }
@@ -50,7 +44,7 @@ class OccurrenceLabeler {
   }
 
   /// label_ids()[a][k-1] is the labeled id of the k-th occurrence of base
-  /// activity a (exposed for the parallel relabel pass).
+  /// activity a.
   const std::vector<std::vector<ActivityId>>& label_ids() const {
     return label_ids_;
   }
@@ -63,53 +57,21 @@ class OccurrenceLabeler {
   std::vector<size_t> touched_;
 };
 
-struct CyclicMinerOptions {
-  /// Noise threshold forwarded to the labeled Algorithm 2 run.
-  int64_t noise_threshold = 1;
-  /// Worker threads for the labeling pass and the labeled Algorithm 2 run.
-  /// 1 = sequential reference path; <= 0 = hardware concurrency. The mined
-  /// graph is byte-identical for every thread count; logs below
-  /// ThreadPool::kSmallInputInlineThreshold executions skip the pool.
-  int num_threads = 1;
-  /// Executions per work-stealing chunk, forwarded to the inner Algorithm 2
-  /// run; 0 = default (see PlanChunks). Any value produces the same model.
-  size_t chunk_size = 0;
-  /// Optional edge-provenance sink (see mine/provenance.h). Recorded in the
-  /// occurrence-labeled id space ("A#1", "A#2", ...) the inner Algorithm 2
-  /// run operates in, with the labeled-to-base mapping attached. Not owned;
-  /// must outlive Mine(). Null (the default) disables recording.
-  ProvenanceRecorder* provenance = nullptr;
-  /// Optional run budget + degradation sink (see util/budget.h), forwarded
-  /// to the inner Algorithm 2 run. Borrowed; may be null.
-  RunBudget* budget = nullptr;
-  DegradationInfo* degradation = nullptr;
-};
+/// Rewrites every execution of `log` into `labeler`'s labeled id space;
+/// each occurrence must already have been Observed. The executions are
+/// rewritten in parallel shards under `pool` (null = sequential) and kept in
+/// log order, so the result is the same for any thread count. The returned
+/// log carries no dictionary: collection and set gathering read ids only.
+EventLog RelabelLog(const EventLog& log, const OccurrenceLabeler& labeler,
+                    ThreadPool* pool);
 
-/// Mines a (possibly cyclic) conformal graph via instance labeling.
-class CyclicMiner {
- public:
-  explicit CyclicMiner(CyclicMinerOptions options = {}) : options_(options) {}
-
-  /// Returns a ProcessGraph whose vertex ids are the log's ActivityIds.
-  Result<ProcessGraph> Mine(const EventLog& log) const;
-
-  /// Exposed for tests and the worked paper example (Figure 6): the labeled
-  /// intermediate log, with occurrence labels "A#1", "A#2", ... and a
-  /// parallel map from labeled ActivityId to original ActivityId.
-  static EventLog LabelOccurrences(const EventLog& log,
-                                   std::vector<ActivityId>* labeled_to_base);
-
-  /// Sharded variant: the label dictionary is built in one cheap sequential
-  /// integer pass (preserving first-encounter interning order), then the
-  /// executions are rewritten in parallel shards. Byte-identical to the
-  /// sequential path for any thread count. `pool` may be null (sequential).
-  static EventLog LabelOccurrences(const EventLog& log,
-                                   std::vector<ActivityId>* labeled_to_base,
-                                   ThreadPool* pool);
-
- private:
-  CyclicMinerOptions options_;
-};
+/// The labeled log whole, for tests and the worked paper example
+/// (Figure 6): occurrence labels "A#1", "A#2", ... as its dictionary, and a
+/// parallel map from labeled ActivityId to original ActivityId. Observe
+/// runs sequentially over the log, then RelabelLog under `pool`.
+EventLog LabelOccurrences(const EventLog& log,
+                          std::vector<ActivityId>* labeled_to_base,
+                          ThreadPool* pool = nullptr);
 
 }  // namespace procmine
 

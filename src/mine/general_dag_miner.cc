@@ -1,14 +1,11 @@
 #include "mine/general_dag_miner.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "graph/algorithms.h"
 #include "graph/transitive_reduction.h"
-#include "mine/edge_collector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -22,19 +19,33 @@ const char* const kReduceDropped =
     "per-execution transitive reductions skipped; the model is conformal "
     "but keeps edges a full run would have removed";
 
-Status ValidateNoRepeats(const Execution& exec,
-                         const ActivityDictionary& dict, NodeId n) {
-  std::vector<bool> seen(static_cast<size_t>(n), false);
+ActivityId FirstRepeat(const Execution& exec, std::vector<uint8_t>* seen) {
+  ActivityId repeat = -1;
+  size_t marked = 0;
   for (const ActivityInstance& inst : exec.instances()) {
-    if (seen[static_cast<size_t>(inst.activity)]) {
-      return Status::InvalidArgument(StrFormat(
-          "execution '%s' repeats activity '%s'; Algorithm 2 assumes an "
-          "acyclic process (use CyclicMiner)",
-          exec.name().c_str(), dict.Name(inst.activity).c_str()));
+    uint8_t& flag = (*seen)[static_cast<size_t>(inst.activity)];
+    if (flag != 0) {
+      repeat = inst.activity;
+      break;
     }
-    seen[static_cast<size_t>(inst.activity)] = true;
+    flag = 1;
+    ++marked;
   }
-  return Status::OK();
+  for (size_t i = 0; i < marked; ++i) {
+    (*seen)[static_cast<size_t>(exec.instances()[i].activity)] = 0;
+  }
+  return repeat;
+}
+
+Status ValidateNoRepeats(const Execution& exec,
+                         const ActivityDictionary& dict,
+                         std::vector<uint8_t>* seen) {
+  const ActivityId repeat = FirstRepeat(exec, seen);
+  if (repeat < 0) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "execution '%s' repeats activity '%s'; Algorithm 2 assumes an "
+      "acyclic process (use CyclicMiner)",
+      exec.name().c_str(), dict.Name(repeat).c_str()));
 }
 
 void GatherActivitySets(const EventLog& log, ThreadPool* pool,
@@ -56,7 +67,7 @@ void GatherActivitySets(const EventLog& log, ThreadPool* pool,
   }
   std::vector<ExecutionSpan> spans = log.Shards(
       PlanChunks(log.num_executions(), pool->num_threads(), chunk_size));
-  std::vector<IdSetTable> shard_sets(spans.size(), IdSetTable(sets->dedup()));
+  std::vector<IdSetTable> shard_sets(spans.size());
   pool->ParallelForChunked(spans.size(),
                            [&](size_t s) { gather(spans[s], &shard_sets[s]); });
   for (const IdSetTable& shard : shard_sets) sets->Merge(shard);
@@ -139,81 +150,4 @@ Result<DirectedGraph> ReduceActivitySets(const DirectedGraph& dag,
 }
 
 }  // namespace mine_internal
-
-Result<ProcessGraph> GeneralDagMiner::Mine(const EventLog& log) const {
-  PROCMINE_SPAN("general_dag.mine");
-  const NodeId n = log.num_activities();
-  if (n == 0 || log.num_executions() == 0) {
-    return Status::InvalidArgument("log is empty");
-  }
-  {
-    PROCMINE_SPAN("general_dag.validate");
-    for (const Execution& exec : log.executions()) {
-      PROCMINE_RETURN_NOT_OK(
-          mine_internal::ValidateNoRepeats(exec, log.dictionary(), n));
-    }
-  }
-
-  ProvenanceRecorder* prov = options_.provenance;
-  if (BudgetCut(options_.budget, options_.degradation, "general_dag.collect",
-                "precedence collection and all later phases skipped; the "
-                "model has no edges")) {
-    if (prov != nullptr) prov->SetActivityNames(log.dictionary().names());
-    return ProcessGraph(DirectedGraph(n), log.dictionary().names());
-  }
-
-  // Below the inline threshold the pool's wake/sleep traffic costs more
-  // than the parallelism returns; the sequential path is byte-identical.
-  const int num_threads = ResolveThreadCount(options_.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1 &&
-      log.num_executions() >= ThreadPool::kSmallInputInlineThreshold) {
-    pool = std::make_unique<ThreadPool>(num_threads);
-  }
-
-  // Steps 1-2: precedence edges with counts; threshold applies here.
-  EdgeCounts counts =
-      CollectPrecedenceEdges(log, pool.get(), prov, options_.chunk_size);
-  DirectedGraph g =
-      BuildPrecedenceGraph(counts, n, options_.noise_threshold, prov);
-
-  // Step 3: both-direction edges.
-  RemoveTwoCycles(&g, prov);
-
-  // Step 4: strongly-connected-component edges. After this, g is a DAG.
-  RemoveIntraSccEdges(&g, prov);
-  PROCMINE_DCHECK(!HasCycle(g));
-
-  // The post-SCC DAG is conformal (Theorem 5) even without steps 5-6, so it
-  // is the partial model a budget cut falls back to, here or mid-reduction.
-  if (BudgetCut(options_.budget, options_.degradation, "general_dag.reduce",
-                mine_internal::kReduceDropped)) {
-    if (prov != nullptr) prov->SetActivityNames(log.dictionary().names());
-    return ProcessGraph(std::move(g), log.dictionary().names());
-  }
-
-  // Steps 5-6: keep exactly the edges needed by at least one execution —
-  // those in the transitive reduction of its activity set's induced
-  // subgraph.
-  PROCMINE_SPAN("general_dag.reduce");
-  IdSetTable sets(options_.memoize_reductions);
-  mine_internal::GatherActivitySets(log, pool.get(), options_.chunk_size,
-                                    &sets);
-  PROCMINE_ASSIGN_OR_RETURN(
-      DirectedGraph result,
-      mine_internal::ReduceActivitySets(g, sets, pool.get(),
-                                        options_.chunk_size, options_.budget,
-                                        options_.degradation));
-  if (prov != nullptr) {
-    // Step 6 drops the DAG edges no activity set's reduction needed.
-    for (const Edge& e : g.Edges()) {
-      if (!result.HasEdge(e.from, e.to)) {
-        prov->MarkDropped(e.from, e.to, DropReason::kTransitiveReduction);
-      }
-    }
-    prov->SetActivityNames(log.dictionary().names());
-  }
-  return ProcessGraph(std::move(result), log.dictionary().names());
-}
-
 }  // namespace procmine

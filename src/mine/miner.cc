@@ -1,102 +1,26 @@
 #include "mine/miner.h"
 
-#include "mine/cyclic_miner.h"
-#include "mine/general_dag_miner.h"
-#include "mine/special_dag_miner.h"
-#include "util/strings.h"
+#include <vector>
+
+#include "mine/pipeline.h"
 
 namespace procmine {
 
 MinerAlgorithm ProcessMiner::SelectAlgorithm(const EventLog& log) {
   const NodeId n = log.num_activities();
-  bool all_exactly_once = true;
-  std::vector<bool> seen(static_cast<size_t>(n));
+  std::vector<uint8_t> seen(static_cast<size_t>(n), 0);
+  MinerAlgorithm selected = MinerAlgorithm::kSpecialDag;
   for (const Execution& exec : log.executions()) {
-    std::fill(seen.begin(), seen.end(), false);
-    for (const ActivityInstance& inst : exec.instances()) {
-      if (seen[static_cast<size_t>(inst.activity)]) {
-        return MinerAlgorithm::kCyclic;  // repeats => cyclic process
-      }
-      seen[static_cast<size_t>(inst.activity)] = true;
-    }
-    if (exec.size() != static_cast<size_t>(n)) all_exactly_once = false;
+    const MinerAlgorithm kind =
+        mine_internal::ClassifyExecution(exec, n, &seen);
+    if (kind == MinerAlgorithm::kCyclic) return kind;  // repeats => cyclic
+    if (kind == MinerAlgorithm::kGeneralDag) selected = kind;
   }
-  return all_exactly_once ? MinerAlgorithm::kSpecialDag
-                          : MinerAlgorithm::kGeneralDag;
+  return selected;
 }
 
 Result<ProcessGraph> ProcessMiner::Mine(const EventLog& log) const {
-  if (log.num_executions() == 0) {
-    return Status::InvalidArgument("log is empty");
-  }
-
-  // max_executions applies at the facade: mine only the first N executions
-  // (the dictionary is copied whole so activity ids stay the log's ids) and
-  // record the truncation as a degradation.
-  const EventLog* input = &log;
-  EventLog truncated;
-  if (options_.budget != nullptr &&
-      options_.budget->OverExecutionLimit(log.num_executions())) {
-    const int64_t keep = options_.budget->limits().max_executions;
-    for (const std::string& name : log.dictionary().names()) {
-      truncated.dictionary().Intern(name);
-    }
-    for (int64_t e = 0; e < keep; ++e) {
-      truncated.AddExecution(log.execution(static_cast<size_t>(e)));
-    }
-    if (options_.degradation != nullptr && !options_.degradation->degraded) {
-      options_.degradation->degraded = true;
-      options_.degradation->resource = BudgetResource::kExecutions;
-      options_.degradation->cut_phase = "miner.input";
-      options_.degradation->dropped = StrFormat(
-          "%lld of %lld executions beyond --max-executions ignored",
-          static_cast<long long>(log.num_executions() - keep),
-          static_cast<long long>(log.num_executions()));
-    }
-    input = &truncated;
-    if (truncated.num_executions() == 0) {
-      return Status::InvalidArgument("max-executions leaves the log empty");
-    }
-  }
-
-  MinerAlgorithm algorithm = options_.algorithm == MinerAlgorithm::kAuto
-                                 ? SelectAlgorithm(*input)
-                                 : options_.algorithm;
-  switch (algorithm) {
-    case MinerAlgorithm::kSpecialDag: {
-      SpecialDagMinerOptions opts;
-      opts.noise_threshold = options_.noise_threshold;
-      opts.num_threads = options_.num_threads;
-      opts.chunk_size = options_.chunk_size;
-      opts.provenance = options_.provenance;
-      opts.budget = options_.budget;
-      opts.degradation = options_.degradation;
-      return SpecialDagMiner(opts).Mine(*input);
-    }
-    case MinerAlgorithm::kGeneralDag: {
-      GeneralDagMinerOptions opts;
-      opts.noise_threshold = options_.noise_threshold;
-      opts.num_threads = options_.num_threads;
-      opts.chunk_size = options_.chunk_size;
-      opts.provenance = options_.provenance;
-      opts.budget = options_.budget;
-      opts.degradation = options_.degradation;
-      return GeneralDagMiner(opts).Mine(*input);
-    }
-    case MinerAlgorithm::kCyclic: {
-      CyclicMinerOptions opts;
-      opts.noise_threshold = options_.noise_threshold;
-      opts.num_threads = options_.num_threads;
-      opts.chunk_size = options_.chunk_size;
-      opts.provenance = options_.provenance;
-      opts.budget = options_.budget;
-      opts.degradation = options_.degradation;
-      return CyclicMiner(opts).Mine(*input);
-    }
-    case MinerAlgorithm::kAuto:
-      break;
-  }
-  return Status::Internal("unreachable: unresolved miner algorithm");
+  return mine_internal::MineWindows({.log = &log}, options_);
 }
 
 Result<AnnotatedProcess> ProcessMiner::MineWithConditions(

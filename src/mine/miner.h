@@ -1,7 +1,11 @@
 // ProcessMiner: the library facade. Picks the right algorithm for the log
 // (Algorithm 1 for exactly-once logs, Algorithm 2 for general acyclic logs,
-// Algorithm 3 for logs with repeated activities) or runs a specific one, and
-// can chain conformance checking and condition learning.
+// Algorithm 3 for logs with repeated activities) or runs the one
+// MinerOptions::algorithm names, and can chain condition learning. Every
+// algorithm runs through the one pipeline in mine/pipeline.h, which also
+// serves OutOfCoreMiner; the step-level code of each algorithm lives in
+// mine/special_dag_miner.h, mine/general_dag_miner.h and
+// mine/cyclic_miner.h.
 //
 // Quickstart:
 //   auto log = LogReader::ReadFile("orders.log").ValueOrDie();
@@ -34,28 +38,32 @@ struct MinerOptions {
   MinerAlgorithm algorithm = MinerAlgorithm::kAuto;
   /// Section 6 noise threshold T (minimum executions per edge); 1 keeps all.
   int64_t noise_threshold = 1;
-  /// Worker threads for the chunked per-execution mining passes. 1 (the
-  /// default) runs the sequential reference path; <= 0 selects hardware
-  /// concurrency. Every thread count produces a byte-identical model: the
-  /// chunk partition is a pure function of the log and these options, and
-  /// the chunk merges (bitset OR, counter sum, marked-set union) are
-  /// order-independent by construction.
+  /// Worker threads for the chunked per-execution mining passes (edge
+  /// collection, set gathering, relabeling and the step 5-6 reductions).
+  /// 1 (the default) runs the sequential reference path; <= 0 selects
+  /// hardware concurrency. Every thread count produces a byte-identical
+  /// model: the chunk partition is a pure function of the log and these
+  /// options, and the chunk merges (counter sum, set-table merge in shard
+  /// order, marked-set union) are order-independent by construction. Logs
+  /// below ThreadPool::kSmallInputInlineThreshold executions skip the pool.
   int num_threads = 1;
   /// Executions per work-stealing chunk (0 = default, 4 chunks per thread;
   /// see PlanChunks). Any value produces the same model — a tuning knob
   /// only: smaller chunks rebalance better against skewed executions,
   /// larger chunks amortize per-chunk accumulators.
   size_t chunk_size = 0;
-  /// Optional edge-provenance sink forwarded to the selected algorithm (see
-  /// mine/provenance.h; obs/report.h builds full run reports on top of it).
+  /// Optional edge-provenance sink (see mine/provenance.h; obs/report.h
+  /// builds full run reports on top of it). Algorithm 3 records in the
+  /// occurrence-labeled id space and attaches the labeled-to-base mapping.
   /// Not owned; must outlive Mine(). Null (the default) disables recording.
   ProvenanceRecorder* provenance = nullptr;
-  /// Optional run budget, checked at phase boundaries (and periodically
-  /// inside the long reduction passes). On exhaustion the miner returns the
-  /// best model built so far instead of finishing — never an error — and
-  /// records what was cut in `degradation`. max_executions is applied here:
-  /// the log is truncated to its first N executions before mining. Both
-  /// pointers are borrowed and may be null (no budgeting).
+  /// Optional run budget, checked at phase boundaries, before each window's
+  /// collection, and every 1024 activity sets inside the step 5-6
+  /// reduction. On exhaustion the miner returns the best model built so
+  /// far instead of finishing — never an error — and records what was cut
+  /// in `degradation`. max_executions is applied here: only the first N
+  /// executions are mined. Both pointers are borrowed and may be null (no
+  /// budgeting).
   RunBudget* budget = nullptr;
   DegradationInfo* degradation = nullptr;
 };

@@ -1,18 +1,14 @@
 #include "mine/special_dag_miner.h"
 
-#include <memory>
-
-#include "graph/transitive_reduction.h"
-#include "mine/edge_collector.h"
-#include "obs/trace.h"
+#include "mine/general_dag_miner.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace procmine {
 namespace mine_internal {
 
 Status ValidateExactlyOnce(const Execution& exec,
-                           const ActivityDictionary& dict, NodeId n) {
+                           const ActivityDictionary& dict, NodeId n,
+                           std::vector<uint8_t>* seen) {
   if (exec.size() != static_cast<size_t>(n)) {
     return Status::InvalidArgument(StrFormat(
         "execution '%s' has %zu activities but the log has %d distinct "
@@ -20,87 +16,13 @@ Status ValidateExactlyOnce(const Execution& exec,
         "per execution (use GeneralDagMiner)",
         exec.name().c_str(), exec.size(), n));
   }
-  std::vector<bool> seen(static_cast<size_t>(n), false);
-  for (const ActivityInstance& inst : exec.instances()) {
-    if (seen[static_cast<size_t>(inst.activity)]) {
-      return Status::InvalidArgument(StrFormat(
-          "execution '%s' repeats activity '%s'; Algorithm 1 requires "
-          "every activity exactly once per execution",
-          exec.name().c_str(), dict.Name(inst.activity).c_str()));
-    }
-    seen[static_cast<size_t>(inst.activity)] = true;
-  }
-  return Status::OK();
+  const ActivityId repeat = FirstRepeat(exec, seen);
+  if (repeat < 0) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "execution '%s' repeats activity '%s'; Algorithm 1 requires "
+      "every activity exactly once per execution",
+      exec.name().c_str(), dict.Name(repeat).c_str()));
 }
 
 }  // namespace mine_internal
-
-Result<ProcessGraph> SpecialDagMiner::Mine(const EventLog& log) const {
-  PROCMINE_SPAN("special_dag.mine");
-  const NodeId n = log.num_activities();
-  if (n == 0 || log.num_executions() == 0) {
-    return Status::InvalidArgument("log is empty");
-  }
-  if (options_.enforce_exactly_once) {
-    PROCMINE_SPAN("special_dag.validate");
-    for (const Execution& exec : log.executions()) {
-      PROCMINE_RETURN_NOT_OK(
-          mine_internal::ValidateExactlyOnce(exec, log.dictionary(), n));
-    }
-  }
-
-  ProvenanceRecorder* prov = options_.provenance;
-  if (BudgetCut(options_.budget, options_.degradation, "special_dag.collect",
-                "precedence collection and all later phases skipped; the "
-                "model has no edges")) {
-    if (prov != nullptr) prov->SetActivityNames(log.dictionary().names());
-    return ProcessGraph(DirectedGraph(n), log.dictionary().names());
-  }
-
-  // Steps 1-2: one pass over the log, collecting precedence edges. Tiny
-  // logs skip the pool: the inline path is byte-identical and cheaper than
-  // the pool's wake/sleep traffic.
-  const int num_threads = ResolveThreadCount(options_.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1 &&
-      log.num_executions() >= ThreadPool::kSmallInputInlineThreshold) {
-    pool = std::make_unique<ThreadPool>(num_threads);
-  }
-  EdgeCounts counts =
-      CollectPrecedenceEdges(log, pool.get(), prov, options_.chunk_size);
-  DirectedGraph g =
-      BuildPrecedenceGraph(counts, n, options_.noise_threshold, prov);
-
-  // Step 3: edges observed in both directions belong to independent
-  // activity pairs.
-  RemoveTwoCycles(&g, prov);
-
-  if (BudgetCut(options_.budget, options_.degradation, "special_dag.reduce",
-                "transitive reduction skipped; the model may contain "
-                "redundant (transitively implied) edges")) {
-    if (prov != nullptr) prov->SetActivityNames(log.dictionary().names());
-    return ProcessGraph(std::move(g), log.dictionary().names());
-  }
-
-  // Step 4: transitive reduction yields the minimal dependency graph.
-  PROCMINE_SPAN("special_dag.reduce");
-  Result<DirectedGraph> reduced = TransitiveReduction(g);
-  if (!reduced.ok()) {
-    return Status::FailedPrecondition(
-        "precedence graph is cyclic after removing 2-cycles; the log "
-        "violates the special-DAG assumptions (try GeneralDagMiner or a "
-        "higher noise threshold): " +
-        reduced.status().message());
-  }
-  if (prov != nullptr) {
-    for (const Edge& e : g.Edges()) {
-      if (!reduced->HasEdge(e.from, e.to)) {
-        prov->MarkDropped(e.from, e.to, DropReason::kTransitiveReduction);
-      }
-    }
-    prov->SetActivityNames(log.dictionary().names());
-  }
-  return ProcessGraph(reduced.MoveValueOrDie(), log.dictionary().names());
-}
-
 }  // namespace procmine

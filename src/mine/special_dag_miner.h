@@ -1,79 +1,36 @@
-// Algorithm 1 (Special DAG), Section 3 of the paper.
+// Algorithm 1 (Special DAG), Section 3 of the paper: the step-level code.
 //
 // Setting: the process graph is acyclic and EVERY execution contains every
 // activity exactly once. Under those assumptions the minimal conformal graph
-// is unique, and this miner finds it in O(n^2 m) time:
+// is unique, and O(n^2 m) time finds it:
 //   1-2. collect precedence edges over one log pass,
 //   3.   drop edges appearing in both directions (such pairs are
 //        independent),
 //   4.   transitive reduction.
+// The pipeline that sequences the steps lives in mine/pipeline.h; this file
+// holds the per-execution check that guards the setting.
 
 #ifndef PROCMINE_MINE_SPECIAL_DAG_MINER_H_
 #define PROCMINE_MINE_SPECIAL_DAG_MINER_H_
 
 #include <cstdint>
+#include <vector>
 
+#include "graph/digraph.h"
 #include "log/event_log.h"
-#include "util/budget.h"
-#include "util/result.h"
-#include "workflow/process_graph.h"
+#include "util/status.h"
 
 namespace procmine {
-
-class ProvenanceRecorder;
-
 namespace mine_internal {
 
 /// Algorithm 1's per-execution validation: InvalidArgument unless `exec`
-/// contains every one of the `n` activities exactly once (same messages the
-/// in-memory miner emits, so the windowed path fails identically).
+/// contains every one of the `n` activities exactly once. `seen` is
+/// FirstRepeat's scratch (see mine/general_dag_miner.h).
 Status ValidateExactlyOnce(const Execution& exec,
-                           const ActivityDictionary& dict, NodeId n);
+                           const ActivityDictionary& dict, NodeId n,
+                           std::vector<uint8_t>* seen);
 
 }  // namespace mine_internal
-
-struct SpecialDagMinerOptions {
-  /// Minimum executions an edge must appear in to survive (the Section 6
-  /// noise threshold T). 1 = keep everything.
-  int64_t noise_threshold = 1;
-  /// When true (default), Mine() fails with InvalidArgument if some
-  /// execution does not contain every activity exactly once — the algorithm
-  /// is only correct under that assumption (use GeneralDagMiner otherwise).
-  bool enforce_exactly_once = true;
-  /// Worker threads for the chunked edge-collection pass. 1 = sequential
-  /// reference path; <= 0 = hardware concurrency. The mined graph is
-  /// byte-identical for every thread count; logs below
-  /// ThreadPool::kSmallInputInlineThreshold executions skip the pool.
-  int num_threads = 1;
-  /// Executions per work-stealing chunk; 0 = default (see PlanChunks). Any
-  /// value produces the same model.
-  size_t chunk_size = 0;
-  /// Optional edge-provenance sink (see mine/provenance.h). Not owned; must
-  /// outlive Mine(). Null (the default) disables recording at the cost of
-  /// one branch per instrumented site.
-  ProvenanceRecorder* provenance = nullptr;
-  /// Optional run budget + degradation sink (see util/budget.h): checked at
-  /// phase boundaries; on exhaustion the best graph built so far is
-  /// returned and the cut is recorded. Borrowed; may be null.
-  RunBudget* budget = nullptr;
-  DegradationInfo* degradation = nullptr;
-};
-
-/// Mines the unique minimal conformal graph of a special-DAG log.
-class SpecialDagMiner {
- public:
-  explicit SpecialDagMiner(SpecialDagMinerOptions options = {})
-      : options_(options) {}
-
-  /// Returns a ProcessGraph whose vertex ids are the log's ActivityIds.
-  /// Fails if the precondition is violated or the precedence graph is not
-  /// reducible to a DAG (heavily corrupted input).
-  Result<ProcessGraph> Mine(const EventLog& log) const;
-
- private:
-  SpecialDagMinerOptions options_;
-};
-
 }  // namespace procmine
 
 #endif  // PROCMINE_MINE_SPECIAL_DAG_MINER_H_

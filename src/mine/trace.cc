@@ -10,8 +10,8 @@
 
 namespace procmine {
 
-Result<MiningTrace> TraceGeneralDagMining(
-    const EventLog& log, const GeneralDagMinerOptions& options) {
+Result<MiningTrace> TraceGeneralDagMining(const EventLog& log,
+                                          const MinerOptions& options) {
   const NodeId n = log.num_activities();
   if (n == 0 || log.num_executions() == 0) {
     return Status::InvalidArgument("log is empty");

@@ -12,7 +12,7 @@
 
 #include "log/event_log.h"
 #include "mine/edge_collector.h"
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "util/result.h"
 #include "workflow/process_graph.h"
 
@@ -53,9 +53,10 @@ struct MiningTrace {
 };
 
 /// Runs Algorithm 2 with instrumentation. Same preconditions and output
-/// graph as GeneralDagMiner::Mine with the same options.
-Result<MiningTrace> TraceGeneralDagMining(
-    const EventLog& log, const GeneralDagMinerOptions& options = {});
+/// graph as ProcessMiner::Mine with MinerAlgorithm::kGeneralDag and the same
+/// noise threshold, the one option it reads.
+Result<MiningTrace> TraceGeneralDagMining(const EventLog& log,
+                                          const MinerOptions& options = {});
 
 }  // namespace procmine
 

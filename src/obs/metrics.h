@@ -171,14 +171,11 @@ struct MetricsSnapshot {
 };
 
 /// Metric names whose values legitimately depend on the shard layout or on
-/// wall-clock timing: per-shard memoization makes hit/miss splits a function
-/// of the thread count, and latency histograms are nondeterministic by
-/// nature. Both deterministic artifacts (run reports, compared byte-for-byte
-/// across --threads values) and telemetry delta streams consult this one
-/// list, so the two surfaces cannot drift apart.
+/// wall-clock timing: latency histograms are nondeterministic by nature.
+/// Both deterministic artifacts (run reports, compared byte-for-byte across
+/// --threads values) and telemetry delta streams consult this one list, so
+/// the two surfaces cannot drift apart.
 inline constexpr std::string_view kShardDependentMetrics[] = {
-    "general_dag.memo_hits",
-    "general_dag.memo_misses",
     "segment.decode_us",
 };
 

@@ -125,12 +125,8 @@ Result<RunReport> BuildRunReport(const EventLog& log,
     // budget the miner used — and hand them to the checker instead of letting
     // CheckLog rebuild them on one thread. The verdicts are identical either
     // way; Relations::Compute is thread-count invariant.
-    const int audit_threads = ResolveThreadCount(options.num_threads);
-    std::unique_ptr<ThreadPool> audit_pool;
-    if (audit_threads > 1 &&
-        log.num_executions() >= ThreadPool::kSmallInputInlineThreshold) {
-      audit_pool = std::make_unique<ThreadPool>(audit_threads);
-    }
+    std::unique_ptr<ThreadPool> audit_pool =
+        PoolForInput(options.num_threads, log.num_executions());
     Relations relations =
         Relations::Compute(log, audit_pool.get(), options.chunk_size);
     report.conformance =

@@ -569,8 +569,8 @@ SocketServer::SocketServer(ServeCore* core, std::string socket_path,
       stop_(stop) {}
 
 SocketServer::~SocketServer() {
-  for (std::thread& t : connections_) {
-    if (t.joinable()) t.join();
+  for (Connection& c : connections_) {
+    if (c.thread.joinable()) c.thread.join();
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (!socket_path_.empty()) ::unlink(socket_path_.c_str());
@@ -631,17 +631,29 @@ Status SocketServer::Serve() {
     timeval timeout{5, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     std::lock_guard<std::mutex> lock(threads_mu_);
-    connections_.emplace_back(&SocketServer::ConnectionLoop, this, fd);
+    // Join the connections that have hung up, so the server holds one
+    // thread per live client rather than one per client it ever served.
+    for (auto it = connections_.begin(); it != connections_.end();) {
+      if (it->done.load()) {
+        it->thread.join();
+        it = connections_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    Connection& connection = connections_.emplace_back();
+    connection.thread = std::thread(&SocketServer::ConnectionLoop, this, fd,
+                                    &connection.done);
   }
   std::lock_guard<std::mutex> lock(threads_mu_);
-  for (std::thread& t : connections_) {
-    if (t.joinable()) t.join();
+  for (Connection& c : connections_) {
+    if (c.thread.joinable()) c.thread.join();
   }
   connections_.clear();
   return Status::OK();
 }
 
-void SocketServer::ConnectionLoop(int fd) {
+void SocketServer::ConnectionLoop(int fd, std::atomic<bool>* done) {
   while (!stop_->load(std::memory_order_relaxed)) {
     pollfd pfd{fd, POLLIN, 0};
     int ready = ::poll(&pfd, 1, 200);
@@ -676,6 +688,7 @@ void SocketServer::ConnectionLoop(int fd) {
     if (!request.ok()) break;  // framing is suspect; hang up after the nack
   }
   ::close(fd);
+  done->store(true);
 }
 
 }  // namespace procmine::serve

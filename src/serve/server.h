@@ -40,6 +40,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -180,7 +181,14 @@ class SocketServer {
   Status Serve();
 
  private:
-  void ConnectionLoop(int fd);
+  /// One client's thread. `done` is the thread's last write, so once it is
+  /// set, joining the thread returns at once.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
+  void ConnectionLoop(int fd, std::atomic<bool>* done);
 
   ServeCore* core_;
   std::string socket_path_;
@@ -189,7 +197,7 @@ class SocketServer {
   int listen_fd_ = -1;
 
   std::mutex threads_mu_;
-  std::vector<std::thread> connections_;
+  std::list<Connection> connections_;  // stable addresses for `done`
 };
 
 }  // namespace procmine::serve

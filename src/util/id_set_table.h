@@ -22,10 +22,6 @@ namespace procmine {
 
 class IdSetTable {
  public:
-  /// `dedup` false keeps every inserted set, duplicates included, and
-  /// builds no index.
-  explicit IdSetTable(bool dedup = true) : dedup_(dedup) {}
-
   /// Adds the set `ids` (in the caller's canonical order, e.g. sorted)
   /// unless an equal one is present. Returns whether it was added.
   bool Insert(std::span<const int32_t> ids) {
@@ -36,8 +32,7 @@ class IdSetTable {
   /// Inserts every set of `other`, in its order; inserted() adds other's.
   void Merge(const IdSetTable& other);
 
-  bool dedup() const { return dedup_; }
-  /// Number of entries (distinct sets when deduplicating).
+  /// Number of distinct sets.
   size_t size() const { return offsets_.size() - 1; }
   /// Insert calls so far, duplicates included, summed over merged tables.
   int64_t inserted() const { return inserted_; }
@@ -50,7 +45,6 @@ class IdSetTable {
   bool Add(std::span<const int32_t> ids);
   void Grow();
 
-  bool dedup_;
   int64_t inserted_ = 0;
   std::vector<int32_t> pool_;
   std::vector<size_t> offsets_{0};

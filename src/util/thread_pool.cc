@@ -17,6 +17,14 @@ int ResolveThreadCount(int requested) {
   return requested <= 0 ? ThreadPool::HardwareConcurrency() : requested;
 }
 
+std::unique_ptr<ThreadPool> PoolForInput(int requested, size_t items) {
+  const int threads = ResolveThreadCount(requested);
+  if (threads <= 1 || items < ThreadPool::kSmallInputInlineThreshold) {
+    return nullptr;
+  }
+  return std::make_unique<ThreadPool>(threads);
+}
+
 size_t PlanChunks(size_t total, int threads, size_t chunk_size) {
   if (total == 0) return 1;
   size_t workers = static_cast<size_t>(std::max(1, threads));

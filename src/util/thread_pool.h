@@ -28,6 +28,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -68,8 +69,7 @@ class ThreadPool {
   void ParallelForChunked(size_t num_chunks, const ChunkFn& fn);
 
   /// Below this many items a parallel pass costs more in pool traffic than
-  /// it saves; miners skip pool construction entirely for such logs and run
-  /// the inline sequential path (which is byte-identical anyway).
+  /// it saves; PoolForInput builds no pool for such inputs.
   static constexpr size_t kSmallInputInlineThreshold = 32;
 
  private:
@@ -93,6 +93,12 @@ class ThreadPool {
 /// `requested <= 0` selects hardware concurrency, anything else is taken
 /// as-is (values above the hardware count are allowed; useful for tests).
 int ResolveThreadCount(int requested);
+
+/// The pool for a pass over `items` items under the `requested` thread
+/// knob (see ResolveThreadCount), or null when that resolves to one thread
+/// or `items` is below ThreadPool::kSmallInputInlineThreshold: there the
+/// inline sequential path is cheaper, and byte-identical.
+std::unique_ptr<ThreadPool> PoolForInput(int requested, size_t items);
 
 /// Number of chunks for a work-stealing pass over `total` items.
 /// `chunk_size` is the per-chunk item count knob: 0 selects the default of

@@ -266,6 +266,19 @@ std::string ReadFileOrEmpty(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// The lines of a report naming the steps 5-6 memo counters ("" when one
+/// is missing).
+std::string MemoCounterLines(const std::string& json) {
+  std::string lines;
+  for (const char* key :
+       {"\"general_dag.memo_hits\"", "\"general_dag.memo_misses\""}) {
+    const size_t at = json.find(key);
+    if (at == std::string::npos) return "";
+    lines += json.substr(at, json.find('\n', at) - at) + "\n";
+  }
+  return lines;
+}
+
 const char* kOrderLog = PROCMINE_EXAMPLES_DIR "/logs/order_fulfillment.log";
 const char* kLoanLog = PROCMINE_EXAMPLES_DIR "/logs/loan_review.log";
 
@@ -284,8 +297,18 @@ TEST_F(CliTest, MineReportOutEmitsProvenanceJson) {
   }
   // The run mined 120 executions; the embedded metrics must agree.
   EXPECT_NE(json.find("\"log.executions_read\": 120"), std::string::npos);
-  // Thread-count-dependent counters are excluded by contract.
-  EXPECT_EQ(json.find("memo_hits"), std::string::npos);
+  // The steps 5-6 memo counters are the same at every thread count, so the
+  // report carries them, with equal values across --threads values.
+  const std::string memo = MemoCounterLines(json);
+  EXPECT_FALSE(memo.empty()) << json;
+  for (std::string threads : {"2", "4"}) {
+    std::string path = dir_ + "/report_t" + threads + ".json";
+    CommandResult again = RunCli("mine --threads=" + threads +
+                                 " --report-out=" + path + " " + log_path_);
+    EXPECT_EQ(again.exit_code, 0) << again.output;
+    EXPECT_EQ(MemoCounterLines(ReadFileOrEmpty(path)), memo)
+        << "--threads=" << threads;
+  }
 }
 
 TEST_F(CliTest, MineReportDotMarksDroppedEdges) {

@@ -4,16 +4,22 @@
 
 #include "graph/algorithms.h"
 #include "mine/metrics.h"
+#include "mine/miner.h"
 
 namespace procmine {
 namespace {
+
+// Algorithm 3 through the facade.
+Result<ProcessGraph> MineCyclic(const EventLog& log) {
+  return ProcessMiner({.algorithm = MinerAlgorithm::kCyclic}).Mine(log);
+}
 
 TEST(CyclicMinerTest, PaperExample8) {
   // Log {ABDCE, ABDCBCE, ABCBDCE, ADE} (Example 8). The merged graph shows
   // the B <-> C cycle.
   EventLog log = EventLog::FromCompactStrings(
       {"ABDCE", "ABDCBCE", "ABCBDCE", "ADE"});
-  auto mined = CyclicMiner().Mine(log);
+  auto mined = MineCyclic(log);
   ASSERT_TRUE(mined.ok());
 
   ProcessGraph expected = ProcessGraph::FromNamedEdges({{"A", "B"},
@@ -41,7 +47,7 @@ TEST(CyclicMinerTest, PaperExample8) {
 TEST(CyclicMinerTest, LabelOccurrencesNumbersRepeats) {
   EventLog log = EventLog::FromCompactStrings({"ABAB"});
   std::vector<ActivityId> to_base;
-  EventLog labeled = CyclicMiner::LabelOccurrences(log, &to_base);
+  EventLog labeled = LabelOccurrences(log, &to_base);
   ASSERT_EQ(labeled.num_executions(), 1u);
   const Execution& exec = labeled.execution(0);
   std::vector<std::string> names;
@@ -63,7 +69,7 @@ TEST(CyclicMinerTest, LabelOccurrencesNumbersRepeats) {
 
 TEST(CyclicMinerTest, LabelOccurrencesSharesLabelsAcrossExecutions) {
   EventLog log = EventLog::FromCompactStrings({"AA", "AAA"});
-  EventLog labeled = CyclicMiner::LabelOccurrences(log, nullptr);
+  EventLog labeled = LabelOccurrences(log, nullptr);
   // A#1 and A#2 shared; A#3 appears only in the second execution.
   EXPECT_EQ(labeled.num_activities(), 3);
 }
@@ -73,7 +79,7 @@ TEST(CyclicMinerTest, AcyclicLogMatchesGeneralMiner) {
   // cyclic miner must produce the same graph as Algorithm 2.
   EventLog log =
       EventLog::FromCompactStrings({"ABCF", "ACDF", "ADEF", "AECF"});
-  auto mined = CyclicMiner().Mine(log);
+  auto mined = MineCyclic(log);
   ASSERT_TRUE(mined.ok());
   ProcessGraph expected = ProcessGraph::FromNamedEdges({{"A", "B"},
                                                         {"B", "C"},
@@ -89,7 +95,7 @@ TEST(CyclicMinerTest, AcyclicLogMatchesGeneralMiner) {
 TEST(CyclicMinerTest, SimpleSelfRepeatProducesNoSelfLoop) {
   // A B B C: instances B#1, B#2; the merge never creates self loops.
   EventLog log = EventLog::FromCompactStrings({"ABBC", "ABBC"});
-  auto mined = CyclicMiner().Mine(log);
+  auto mined = MineCyclic(log);
   ASSERT_TRUE(mined.ok());
   ActivityId b = *log.dictionary().Find("B");
   EXPECT_FALSE(mined->graph().HasEdge(b, b));
@@ -99,7 +105,7 @@ TEST(CyclicMinerTest, LoopWithVaryingIterationCounts) {
   // Process S -> W -> E with W repeating 1-3 times.
   EventLog log = EventLog::FromCompactStrings(
       {"SWE", "SWWE", "SWWWE", "SWE", "SWWE"});
-  auto mined = CyclicMiner().Mine(log);
+  auto mined = MineCyclic(log);
   ASSERT_TRUE(mined.ok());
   ActivityId s = *log.dictionary().Find("S");
   ActivityId w = *log.dictionary().Find("W");
@@ -112,16 +118,17 @@ TEST(CyclicMinerTest, LoopWithVaryingIterationCounts) {
 
 TEST(CyclicMinerTest, RejectsEmptyLog) {
   EventLog log;
-  EXPECT_FALSE(CyclicMiner().Mine(log).ok());
+  EXPECT_FALSE(MineCyclic(log).ok());
 }
 
 TEST(CyclicMinerTest, NoiseThresholdForwarded) {
   std::vector<std::string> execs(9, "ABC");
   execs.push_back("ACB");
   EventLog log = EventLog::FromCompactStrings(execs);
-  CyclicMinerOptions options;
+  MinerOptions options;
+  options.algorithm = MinerAlgorithm::kCyclic;
   options.noise_threshold = 2;
-  auto mined = CyclicMiner(options).Mine(log);
+  auto mined = ProcessMiner(options).Mine(log);
   ASSERT_TRUE(mined.ok());
   ActivityId b = *log.dictionary().Find("B");
   ActivityId c = *log.dictionary().Find("C");

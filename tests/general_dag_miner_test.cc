@@ -1,15 +1,21 @@
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.h"
 #include "mine/conformance.h"
 #include "mine/metrics.h"
+#include "reduce_every_execution.h"
 #include "synth/log_generator.h"
 #include "synth/random_dag.h"
 
 namespace procmine {
 namespace {
+
+// Algorithm 2 through the facade.
+Result<ProcessGraph> MineGeneral(const EventLog& log) {
+  return ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(log);
+}
 
 void ExpectEdges(
     const ProcessGraph& g,
@@ -28,7 +34,7 @@ TEST(GeneralDagMinerTest, PaperExample7) {
   // fans out of A and into F.
   EventLog log =
       EventLog::FromCompactStrings({"ABCF", "ACDF", "ADEF", "AECF"});
-  auto mined = GeneralDagMiner().Mine(log);
+  auto mined = MineGeneral(log);
   ASSERT_TRUE(mined.ok());
   ExpectEdges(*mined, {{"A", "B"},
                        {"B", "C"},
@@ -44,7 +50,7 @@ TEST(GeneralDagMinerTest, PaperExample5Log) {
   // Log {ADCE, ABCDE} (Example 5); the mined graph must be conformal, in
   // particular it must allow ADCE.
   EventLog log = EventLog::FromCompactStrings({"ADCE", "ABCDE"});
-  auto mined = GeneralDagMiner().Mine(log);
+  auto mined = MineGeneral(log);
   ASSERT_TRUE(mined.ok());
   ExpectEdges(*mined, {{"A", "B"},
                        {"A", "C"},
@@ -61,7 +67,7 @@ TEST(GeneralDagMinerTest, PaperExample5Log) {
 TEST(GeneralDagMinerTest, AgreesWithSpecialMinerOnExactlyOnceLogs) {
   EventLog log =
       EventLog::FromCompactStrings({"ABCDE", "ACDBE", "ACBDE"});
-  auto general = GeneralDagMiner().Mine(log);
+  auto general = MineGeneral(log);
   ASSERT_TRUE(general.ok());
   // Same answer as Algorithm 1 (Example 6 -> Figure 1).
   ExpectEdges(*general,
@@ -72,7 +78,7 @@ TEST(GeneralDagMinerTest, OptionalActivitySkipEdgeKept) {
   // B optional: A->B->C and A->C both observed; the direct A->C edge must
   // survive because execution AC needs it.
   EventLog log = EventLog::FromCompactStrings({"ABC", "AC"});
-  auto mined = GeneralDagMiner().Mine(log);
+  auto mined = MineGeneral(log);
   ASSERT_TRUE(mined.ok());
   ExpectEdges(*mined, {{"A", "B"}, {"B", "C"}, {"A", "C"}});
 }
@@ -81,21 +87,21 @@ TEST(GeneralDagMinerTest, UnneededShortcutRemoved) {
   // B always present: the shortcut A->C is never in any execution's
   // transitive reduction, so steps 5-6 drop it.
   EventLog log = EventLog::FromCompactStrings({"ABC", "ABC"});
-  auto mined = GeneralDagMiner().Mine(log);
+  auto mined = MineGeneral(log);
   ASSERT_TRUE(mined.ok());
   ExpectEdges(*mined, {{"A", "B"}, {"B", "C"}});
 }
 
 TEST(GeneralDagMinerTest, RejectsRepeats) {
   EventLog log = EventLog::FromCompactStrings({"ABAB"});
-  auto mined = GeneralDagMiner().Mine(log);
+  auto mined = MineGeneral(log);
   EXPECT_FALSE(mined.ok());
   EXPECT_NE(mined.status().message().find("CyclicMiner"), std::string::npos);
 }
 
 TEST(GeneralDagMinerTest, RejectsEmptyLog) {
   EventLog log;
-  EXPECT_FALSE(GeneralDagMiner().Mine(log).ok());
+  EXPECT_FALSE(MineGeneral(log).ok());
 }
 
 TEST(GeneralDagMinerTest, MemoizationDoesNotChangeResult) {
@@ -110,20 +116,18 @@ TEST(GeneralDagMinerTest, MemoizationDoesNotChangeResult) {
   auto log = GenerateWalkLog(truth, {.num_executions = 200, .seed = 4});
   ASSERT_TRUE(log.ok());
 
-  GeneralDagMinerOptions with, without;
-  with.memoize_reductions = true;
-  without.memoize_reductions = false;
-  auto a = GeneralDagMiner(with).Mine(*log);
-  auto b = GeneralDagMiner(without).Mine(*log);
+  // The miner reduces each distinct activity set once; reducing every
+  // execution's set must keep the same edges.
+  auto a = MineGeneral(*log);
+  ProcessGraph b = MineReducingEveryExecution(*log, /*threshold=*/1);
   ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->graph() == b->graph());
+  EXPECT_TRUE(a->graph() == b.graph());
 }
 
 TEST(GeneralDagMinerTest, MinedGraphIsAlwaysAcyclic) {
   EventLog log = EventLog::FromCompactStrings(
       {"ABCF", "ACDF", "ADEF", "AECF", "ABF", "AF"});
-  auto mined = GeneralDagMiner().Mine(log);
+  auto mined = MineGeneral(log);
   ASSERT_TRUE(mined.ok());
   EXPECT_FALSE(HasCycle(mined->graph()));
 }
@@ -135,9 +139,10 @@ TEST(GeneralDagMinerTest, NoiseThresholdRecoversChainFromCorruptedLog) {
   execs.push_back("ADCBE");              // one corrupted record
   EventLog log = EventLog::FromCompactStrings(execs);
 
-  GeneralDagMinerOptions options;
+  MinerOptions options;
+  options.algorithm = MinerAlgorithm::kGeneralDag;
   options.noise_threshold = 3;
-  auto mined = GeneralDagMiner(options).Mine(log);
+  auto mined = ProcessMiner(options).Mine(log);
   ASSERT_TRUE(mined.ok());
   // The corrupted reversals (D<C, C<B, D<B) fall under the threshold; the
   // chain with the optional-D bypass is recovered.
@@ -165,7 +170,7 @@ TEST_P(GeneralMinerPropertyTest, MinedGraphIsConformal) {
       truth, {.num_executions = static_cast<size_t>(m),
               .seed = static_cast<uint64_t>(m * 7 + n)});
   ASSERT_TRUE(log.ok());
-  auto mined = GeneralDagMiner().Mine(*log);
+  auto mined = MineGeneral(*log);
   ASSERT_TRUE(mined.ok());
   EXPECT_FALSE(HasCycle(mined->graph()));
 

@@ -1,6 +1,6 @@
 // IdSetTable contract: one entry per distinct set in first-insertion order,
-// exact hit/insert accounting across merges, duplicates kept when dedup is
-// off, and lookups that stay correct across index growth.
+// exact hit/insert accounting across merges, and lookups that stay correct
+// across index growth.
 
 #include <algorithm>
 #include <cstdint>
@@ -31,15 +31,6 @@ TEST(IdSetTableTest, KeepsFirstOccurrenceOrder) {
   EXPECT_EQ(Entry(table, 0), (std::vector<int32_t>{1, 2, 3}));
   EXPECT_TRUE(Entry(table, 1).empty());
   EXPECT_EQ(Entry(table, 2), (std::vector<int32_t>{1, 2}));
-}
-
-TEST(IdSetTableTest, WithoutDedupKeepsEveryInsert) {
-  IdSetTable table(/*dedup=*/false);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(table.Insert(std::vector<int32_t>{4, 5}));
-  }
-  EXPECT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.inserted(), 3);
 }
 
 TEST(IdSetTableTest, MergeDedupsAndSumsInserts) {

@@ -4,7 +4,7 @@
 
 #include <deque>
 
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "mine/metrics.h"
 #include "synth/log_generator.h"
 #include "synth/random_dag.h"
@@ -21,7 +21,8 @@ TEST(IncrementalMinerTest, EmptyMinerHasNoGraph) {
 TEST(IncrementalMinerTest, MatchesBatchMinerOnExample7) {
   EventLog log =
       EventLog::FromCompactStrings({"ABCF", "ACDF", "ADEF", "AECF"});
-  auto batch = GeneralDagMiner().Mine(log);
+  auto batch =
+      ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(log);
   ASSERT_TRUE(batch.ok());
 
   IncrementalMiner incremental;
@@ -40,7 +41,8 @@ TEST(IncrementalMinerTest, MatchesBatchOnRandomWalkerLogs) {
   auto log = GenerateWalkLog(truth, {.num_executions = 300, .seed = 6});
   ASSERT_TRUE(log.ok());
 
-  auto batch = GeneralDagMiner().Mine(*log);
+  auto batch =
+      ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(*log);
   ASSERT_TRUE(batch.ok());
   IncrementalMiner incremental;
   ASSERT_TRUE(incremental.AddLog(*log).ok());

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "mine/trace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -223,9 +223,10 @@ TEST_F(ObsTraceTest, ChromeTraceJsonParsesBack) {
   log_options.seed = 11;
   auto log = GenerateWalkLog(truth, log_options);
   ASSERT_TRUE(log.ok()) << log.status().ToString();
-  GeneralDagMinerOptions options;
+  MinerOptions options;
+  options.algorithm = MinerAlgorithm::kGeneralDag;
   options.num_threads = 4;
-  auto mined = GeneralDagMiner(options).Mine(*log);
+  auto mined = ProcessMiner(options).Mine(*log);
   ASSERT_TRUE(mined.ok()) << mined.status().ToString();
 
   std::string json = obs::TraceRecorder::Get().ChromeTraceJson();
@@ -271,7 +272,8 @@ TEST_F(ObsTraceTest, CountersMatchMiningTrace) {
   // Reference: the fully-instrumented Algorithm 2 run, counted without
   // touching the registry.
   obs::SetMetricsEnabled(false);
-  GeneralDagMinerOptions options;
+  MinerOptions options;
+  options.algorithm = MinerAlgorithm::kGeneralDag;
   options.noise_threshold = kThreshold;
   auto trace = TraceGeneralDagMining(log, options);
   ASSERT_TRUE(trace.ok()) << trace.status().ToString();
@@ -281,7 +283,7 @@ TEST_F(ObsTraceTest, CountersMatchMiningTrace) {
   for (int threads : {1, 4}) {
     obs::MetricsRegistry::Get().ResetAll();
     options.num_threads = threads;
-    auto mined = GeneralDagMiner(options).Mine(log);
+    auto mined = ProcessMiner(options).Mine(log);
     ASSERT_TRUE(mined.ok()) << mined.status().ToString();
     obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Get().Snapshot();
     EXPECT_EQ(snapshot.CounterTotal("mine.executions_scanned"),

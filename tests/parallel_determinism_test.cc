@@ -120,12 +120,12 @@ TEST(ParallelDeterminismTest, CyclicLabelingIsByteIdentical) {
   for (uint64_t seed : kSeeds) {
     EventLog log = RandomCyclicLog(seed);
     std::vector<ActivityId> base_map_seq;
-    EventLog labeled_seq = CyclicMiner::LabelOccurrences(log, &base_map_seq);
+    EventLog labeled_seq = LabelOccurrences(log, &base_map_seq);
     for (int threads : kThreadAxis) {
       ThreadPool pool(threads);
       std::vector<ActivityId> base_map_par;
       EventLog labeled_par =
-          CyclicMiner::LabelOccurrences(log, &base_map_par, &pool);
+          LabelOccurrences(log, &base_map_par, &pool);
       ASSERT_EQ(base_map_par, base_map_seq);
       ASSERT_EQ(labeled_par.num_executions(), labeled_seq.num_executions());
       ASSERT_EQ(labeled_par.dictionary().names(),

@@ -23,9 +23,8 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "mine/cyclic_miner.h"
-#include "mine/general_dag_miner.h"
-#include "mine/miner.h"
 #include "mine/ooc_miner.h"
+#include "reduce_every_execution.h"
 #include "synth/log_generator.h"
 #include "synth/random_dag.h"
 #include "util/coding.h"
@@ -1009,6 +1008,60 @@ TEST_F(OocIdentityTest, ExpiredDeadlineDegradationParity) {
   }
 }
 
+TEST_F(OocIdentityTest, ExpiredBudgetSkipsCollectionButNotChecks) {
+  // The scan probes the budget before collecting each window. Once it has
+  // run out, the remaining windows are still checked but none is collected,
+  // so an expired deadline collects nothing at all; the model and the
+  // DegradationInfo still equal the in-memory run's.
+  EventLog log = EventLog::FromCompactStrings(
+      {"ABCE", "ACE", "ABCE", "ABE", "ACBE", "ABCE"});
+  SegmentStoreOptions store_options;
+  store_options.target_segment_events = 8;
+  WriteStore(log, store_options);
+  auto store = SegmentStore::Open(dir_, store_options);
+  ASSERT_TRUE(store.ok());
+  const int64_t segments = static_cast<int64_t>(store->num_segments());
+  ASSERT_GE(segments, 3);
+  obs::SetMetricsEnabled(true);
+  for (MinerAlgorithm algorithm :
+       {MinerAlgorithm::kAuto, MinerAlgorithm::kGeneralDag}) {
+    const std::string name =
+        algorithm == MinerAlgorithm::kAuto ? "auto" : "general";
+    RunBudget::Limits limits;
+    limits.deadline_ms = 0;
+    RunBudget ooc_budget(limits);
+    ooc_budget.Start();
+    DegradationInfo ooc_degradation;
+    MinerOptions ooc_options;
+    ooc_options.algorithm = algorithm;
+    ooc_options.budget = &ooc_budget;
+    ooc_options.degradation = &ooc_degradation;
+    obs::MetricsRegistry::Get().ResetAll();
+    OocMineStats stats;
+    auto ooc = OutOfCoreMiner(ooc_options).Mine(&*store, &stats);
+    ASSERT_TRUE(ooc.ok()) << name << ": " << ooc.status().ToString();
+    obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Get().Snapshot();
+    EXPECT_EQ(snapshot.CounterTotal("mine.executions_scanned"), 0) << name;
+    EXPECT_EQ(stats.windows, segments) << name;  // every window checked
+
+    RunBudget ref_budget(limits);
+    ref_budget.Start();
+    DegradationInfo ref_degradation;
+    MinerOptions ref_options = ooc_options;
+    ref_options.budget = &ref_budget;
+    ref_options.degradation = &ref_degradation;
+    auto reference = ProcessMiner(ref_options).Mine(log);
+    ASSERT_TRUE(reference.ok()) << name;
+    ExpectModelsEqual(*ooc, *reference, name);
+    EXPECT_TRUE(ooc_degradation.degraded) << name;
+    EXPECT_EQ(ooc_degradation.resource, ref_degradation.resource) << name;
+    EXPECT_EQ(ooc_degradation.cut_phase, ref_degradation.cut_phase) << name;
+    EXPECT_EQ(ooc_degradation.dropped, ref_degradation.dropped) << name;
+  }
+  obs::MetricsRegistry::Get().ResetAll();
+  obs::SetMetricsEnabled(false);
+}
+
 TEST_F(OocIdentityTest, FirstBadExecutionAcrossSegmentsMatchesInMemory) {
   // The scan validates window by window, so a bad execution past segment 0
   // must fail with the in-memory error byte for byte — and when a later
@@ -1080,8 +1133,8 @@ EventLog RepeatingCyclicLog(uint64_t seed) {
 
 TEST_F(OocIdentityTest, DistinctActivitySetsReduceLikeEveryExecution) {
   // Steps 5-6 reduce each distinct activity set once. Reducing every
-  // execution instead (memoize_reductions = false) must give the same DOT
-  // at every threads x chunk size; the memo counters must count the
+  // execution's set instead (MineReducingEveryExecution) must give the same
+  // DOT at every threads x chunk size; the memo counters must count the
   // distinct sets and the executions; and the out-of-core miner, which
   // gathers the sets during its one walk, must match at several segment
   // sizes, one resident segment included. Cyclic logs are checked in the
@@ -1113,34 +1166,30 @@ TEST_F(OocIdentityTest, DistinctActivitySetsReduceLikeEveryExecution) {
             StrFormat("%s seed=%llu T=%lld", is_cyclic ? "cyclic" : "general",
                       static_cast<unsigned long long>(seed),
                       static_cast<long long>(threshold));
-        // In memory: memo on and off, threads x chunk size.
-        EventLog labeled =
-            is_cyclic ? CyclicMiner::LabelOccurrences(*log, nullptr) : *log;
+        // In memory: every threads x chunk size against the oracle.
+        EventLog labeled = is_cyclic ? LabelOccurrences(*log, nullptr) : *log;
         const int64_t executions =
             static_cast<int64_t>(labeled.num_executions());
         const int64_t distinct = CountDistinctSets(labeled);
         ASSERT_LT(distinct, executions) << context;
-        std::string reference_dot;
+        const std::string reference_dot =
+            MineReducingEveryExecution(labeled, threshold).ToDot();
         for (int threads : {1, 2, 4}) {
           for (size_t chunk : {0, 1, 7}) {
-            for (bool memo : {false, true}) {
-              GeneralDagMinerOptions options;
-              options.noise_threshold = threshold;
-              options.memoize_reductions = memo;
-              options.num_threads = threads;
-              options.chunk_size = chunk;
-              obs::MetricsRegistry::Get().ResetAll();
-              auto mined = GeneralDagMiner(options).Mine(labeled);
-              ASSERT_TRUE(mined.ok()) << context;
-              if (reference_dot.empty()) reference_dot = mined->ToDot();
-              const std::string where = StrFormat(
-                  "%s threads=%d chunk=%zu memo=%d", context.c_str(), threads,
-                  chunk, memo ? 1 : 0);
-              EXPECT_EQ(mined->ToDot(), reference_dot) << where;
-              auto [hits, misses] = counters();
-              EXPECT_EQ(hits + misses, executions) << where;
-              EXPECT_EQ(misses, memo ? distinct : executions) << where;
-            }
+            MinerOptions options;
+            options.algorithm = MinerAlgorithm::kGeneralDag;
+            options.noise_threshold = threshold;
+            options.num_threads = threads;
+            options.chunk_size = chunk;
+            obs::MetricsRegistry::Get().ResetAll();
+            auto mined = ProcessMiner(options).Mine(labeled);
+            ASSERT_TRUE(mined.ok()) << context;
+            const std::string where = StrFormat(
+                "%s threads=%d chunk=%zu", context.c_str(), threads, chunk);
+            EXPECT_EQ(mined->ToDot(), reference_dot) << where;
+            auto [hits, misses] = counters();
+            EXPECT_EQ(hits + misses, executions) << where;
+            EXPECT_EQ(misses, distinct) << where;
           }
         }
         // Out of core against ProcessMiner on the materialized store.

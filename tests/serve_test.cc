@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -750,6 +751,65 @@ TEST_F(ServeTest, GarbageConnectionLeavesHealthySessionIntact) {
   ASSERT_TRUE(query.ok());
   EXPECT_EQ(query->code, ResponseCode::kOk);
   EXPECT_EQ(query->body, SoloModel(compact));
+
+  stop.store(true);
+  serving.join();
+  ASSERT_TRUE(core.Drain().ok());
+}
+
+/// Live threads of this process.
+int64_t LiveThreads() {
+  int64_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// Inaccessible mappings of this process, thread-stack guard pages among
+/// them.
+int64_t GuardMappings() {
+  std::ifstream maps("/proc/self/maps");
+  int64_t n = 0;
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find(" ---p ") != std::string::npos) ++n;
+  }
+  return n;
+}
+
+TEST_F(ServeTest, ClosedConnectionsDoNotAccumulateThreads) {
+  // Clients connect and hang up one after another. An exited thread leaves
+  // /proc/self/task at once, but until it is joined it keeps its stack and
+  // that stack's guard page mapped, so a server that never joins its
+  // connection threads gains one guard mapping per client. The bound
+  // leaves room for the few stacks glibc caches after a join and for the
+  // sanitizers' own mappings.
+  constexpr int64_t kClients = 200;
+  ServeOptions options;
+  options.threads = 2;
+  ServeCore core(options);
+  std::string socket_path = dir_ + "/s.sock";
+  std::atomic<bool> stop{false};
+  SocketServer server(&core, socket_path, kDefaultMaxFrameBytes, &stop);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serving([&] { (void)server.Serve(); });
+
+  auto owner = ServeClient::Connect(socket_path);
+  ASSERT_TRUE(owner.ok()) << owner.status().ToString();
+  auto open = owner->Call(FrameType::kOpen, "s");
+  ASSERT_TRUE(open.ok());
+  ASSERT_EQ(open->code, ResponseCode::kOk);
+  const int64_t threads_before = LiveThreads();
+  const int64_t guards_before = GuardMappings();
+  for (int64_t i = 0; i < kClients; ++i) {
+    auto client = ServeClient::Connect(socket_path);
+    ASSERT_TRUE(client.ok()) << i << ": " << client.status().ToString();
+    ASSERT_TRUE(client->Call(FrameType::kQuery, "s").ok()) << i;
+  }
+  EXPECT_LE(LiveThreads(), threads_before + 4);
+  EXPECT_LT(GuardMappings(), guards_before + kClients / 2);
 
   stop.store(true);
   serving.join();

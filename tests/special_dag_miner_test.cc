@@ -1,4 +1,4 @@
-#include "mine/special_dag_miner.h"
+#include "mine/miner.h"
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,11 @@
 
 namespace procmine {
 namespace {
+
+// Algorithm 1 through the facade.
+Result<ProcessGraph> MineSpecial(const EventLog& log) {
+  return ProcessMiner({.algorithm = MinerAlgorithm::kSpecialDag}).Mine(log);
+}
 
 // Asserts the mined graph's edges, given in name space.
 void ExpectEdges(
@@ -27,8 +32,9 @@ TEST(SpecialDagMinerTest, PaperExample6RecoversFigure1) {
   // Log {ABCDE, ACDBE, ACBDE} -> the Figure 1 graph (Example 6).
   EventLog log =
       EventLog::FromCompactStrings({"ABCDE", "ACDBE", "ACBDE"});
-  SpecialDagMiner miner;
-  auto mined = miner.Mine(log);
+  MinerOptions options;
+  options.algorithm = MinerAlgorithm::kSpecialDag;
+  auto mined = ProcessMiner(options).Mine(log);
   ASSERT_TRUE(mined.ok());
   ExpectEdges(*mined,
               {{"A", "B"}, {"A", "C"}, {"B", "E"}, {"C", "D"}, {"D", "E"}});
@@ -36,7 +42,7 @@ TEST(SpecialDagMinerTest, PaperExample6RecoversFigure1) {
 
 TEST(SpecialDagMinerTest, SingleExecutionYieldsChain) {
   EventLog log = EventLog::FromCompactStrings({"ABCD"});
-  auto mined = SpecialDagMiner().Mine(log);
+  auto mined = MineSpecial(log);
   ASSERT_TRUE(mined.ok());
   ExpectEdges(*mined, {{"A", "B"}, {"B", "C"}, {"C", "D"}});
 }
@@ -44,14 +50,14 @@ TEST(SpecialDagMinerTest, SingleExecutionYieldsChain) {
 TEST(SpecialDagMinerTest, FullyParallelMiddle) {
   // B and C in both orders: independent; only A-before and D-after remain.
   EventLog log = EventLog::FromCompactStrings({"ABCD", "ACBD"});
-  auto mined = SpecialDagMiner().Mine(log);
+  auto mined = MineSpecial(log);
   ASSERT_TRUE(mined.ok());
   ExpectEdges(*mined, {{"A", "B"}, {"A", "C"}, {"B", "D"}, {"C", "D"}});
 }
 
 TEST(SpecialDagMinerTest, RejectsMissingActivities) {
   EventLog log = EventLog::FromCompactStrings({"ABC", "AC"});
-  auto mined = SpecialDagMiner().Mine(log);
+  auto mined = MineSpecial(log);
   EXPECT_FALSE(mined.ok());
   EXPECT_TRUE(mined.status().IsInvalidArgument());
   EXPECT_NE(mined.status().message().find("GeneralDagMiner"),
@@ -60,29 +66,20 @@ TEST(SpecialDagMinerTest, RejectsMissingActivities) {
 
 TEST(SpecialDagMinerTest, RejectsRepeatedActivities) {
   EventLog log = EventLog::FromCompactStrings({"ABA"});
-  auto mined = SpecialDagMiner().Mine(log);
+  auto mined = MineSpecial(log);
   EXPECT_FALSE(mined.ok());
   EXPECT_TRUE(mined.status().IsInvalidArgument());
 }
 
 TEST(SpecialDagMinerTest, RejectsEmptyLog) {
   EventLog log;
-  EXPECT_FALSE(SpecialDagMiner().Mine(log).ok());
-}
-
-TEST(SpecialDagMinerTest, EnforcementCanBeDisabled) {
-  EventLog log = EventLog::FromCompactStrings({"ABC", "AC"});
-  SpecialDagMinerOptions options;
-  options.enforce_exactly_once = false;
-  auto mined = SpecialDagMiner(options).Mine(log);
-  // Not guaranteed conformal, but must not fail structurally here.
-  EXPECT_TRUE(mined.ok());
+  EXPECT_FALSE(MineSpecial(log).ok());
 }
 
 TEST(SpecialDagMinerTest, MinedGraphIsTransitivelyReduced) {
   EventLog log = EventLog::FromCompactStrings(
       {"ABCDE", "ACDBE", "ACBDE", "ABCDE"});
-  auto mined = SpecialDagMiner().Mine(log);
+  auto mined = MineSpecial(log);
   ASSERT_TRUE(mined.ok());
   auto reduced = TransitiveReduction(mined->graph());
   ASSERT_TRUE(reduced.ok());
@@ -96,14 +93,15 @@ TEST(SpecialDagMinerTest, NoiseThresholdDropsRareOrderings) {
   execs.push_back("ACB");
   EventLog log = EventLog::FromCompactStrings(execs);
 
-  SpecialDagMinerOptions clean;
+  MinerOptions clean;
+  clean.algorithm = MinerAlgorithm::kSpecialDag;
   clean.noise_threshold = 2;
-  auto mined = SpecialDagMiner(clean).Mine(log);
+  auto mined = ProcessMiner(clean).Mine(log);
   ASSERT_TRUE(mined.ok());
   ExpectEdges(*mined, {{"A", "B"}, {"B", "C"}});
 
   // Without the threshold, B and C look independent.
-  auto raw = SpecialDagMiner().Mine(log);
+  auto raw = MineSpecial(log);
   ASSERT_TRUE(raw.ok());
   ExpectEdges(*raw, {{"A", "B"}, {"A", "C"}});
 }
@@ -123,7 +121,7 @@ TEST_P(SpecialMinerPropertyTest, ClosureConvergesToTruth) {
 
   auto log = GenerateLinearExtensionLog(truth, 300, 17);
   ASSERT_TRUE(log.ok());
-  auto mined = SpecialDagMiner().Mine(*log);
+  auto mined = MineSpecial(*log);
   ASSERT_TRUE(mined.ok());
 
   GraphComparison cmp = CompareClosuresByName(truth, *mined);

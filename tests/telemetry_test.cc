@@ -190,8 +190,8 @@ TEST_F(TelemetryTest, JsonlLineDeltasExcludeShardDependentMetrics) {
   obs::Counter* steady =
       obs::MetricsRegistry::Get().GetCounter("telemetry_test.steady");
   obs::Counter* sharded =
-      obs::MetricsRegistry::Get().GetCounter("general_dag.memo_hits");
-  ASSERT_TRUE(obs::ShardDependentMetric("general_dag.memo_hits"));
+      obs::MetricsRegistry::Get().GetCounter("segment.decode_us");
+  ASSERT_TRUE(obs::ShardDependentMetric("segment.decode_us"));
 
   steady->Add(2);
   sharded->Add(2);
@@ -209,11 +209,11 @@ TEST_F(TelemetryTest, JsonlLineDeltasExcludeShardDependentMetrics) {
   const json::Value* counters = doc->Find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(counters->Find("telemetry_test.steady")->AsInt64(), 5);
-  EXPECT_EQ(counters->Find("general_dag.memo_hits")->AsInt64(), 5);
+  EXPECT_EQ(counters->Find("segment.decode_us")->AsInt64(), 5);
   const json::Value* deltas = doc->Find("deltas");
   ASSERT_NE(deltas, nullptr);
   EXPECT_EQ(deltas->Find("telemetry_test.steady")->AsInt64(), 3);
-  EXPECT_EQ(deltas->Find("general_dag.memo_hits"), nullptr);
+  EXPECT_EQ(deltas->Find("segment.decode_us"), nullptr);
 }
 
 TEST_F(TelemetryTest, SamplerEmitsParseableArtifactsUnderConcurrentWrites) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mine/general_dag_miner.h"
+#include "mine/miner.h"
 #include "mine/metrics.h"
 
 namespace procmine {
@@ -13,7 +13,8 @@ TEST(TraceTest, MatchesUntracedMiner) {
       EventLog::FromCompactStrings({"ABCF", "ACDF", "ADEF", "AECF"});
   auto trace = TraceGeneralDagMining(log);
   ASSERT_TRUE(trace.ok());
-  auto plain = GeneralDagMiner().Mine(log);
+  auto plain =
+      ProcessMiner({.algorithm = MinerAlgorithm::kGeneralDag}).Mine(log);
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(trace->result.graph() == plain->graph());
 }
@@ -126,7 +127,8 @@ TEST(TraceTest, ExplainThresholdDrop) {
   std::vector<std::string> execs(9, "ABC");
   execs.push_back("ACB");
   EventLog log = EventLog::FromCompactStrings(execs);
-  GeneralDagMinerOptions options;
+  MinerOptions options;
+  options.algorithm = MinerAlgorithm::kGeneralDag;
   options.noise_threshold = 2;
   auto trace = TraceGeneralDagMining(log, options);
   ASSERT_TRUE(trace.ok());

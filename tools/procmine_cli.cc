@@ -1188,7 +1188,7 @@ int CommandExplain(const Args& args) {
   }
   auto log = ReadLogAuto(args.positional[0], args);
   if (!log.ok()) return Fail(log.status());
-  GeneralDagMinerOptions options;
+  MinerOptions options;
   auto threshold = ParseInt64(args.Get("threshold", "1"));
   if (!threshold.ok()) {
     std::cerr << "bad --threshold\n";
