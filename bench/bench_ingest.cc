@@ -2,10 +2,11 @@
 //
 // Generates a synthetic walker log (>= 100k events in quick mode), writes it
 // as text and binary, and measures MB/s and events/sec through:
-//   text_legacy     ifstream slurp + ParseEvents + FromEvents (ReadString)
+//   text_legacy     ifstream slurp + the legacy parser (tests/
+//                   legacy_text_parser.h: ParseEvents + FromEvents)
 //   text_mmap       MappedFile + fused string_view parser, 1 thread
 //   text_mmap_tN    same, N threads (PROCMINE_BENCH_THREADS thread axis)
-//   streaming       StreamLogFile (mmap-chunked execution-at-a-time scan)
+//   streaming       StreamLogFile (mmap + execution-at-a-time scan)
 //   binary          ReadBinaryLogFile (mmap + varint decode)
 // plus a parse-only string variant of the text paths, and writes
 // BENCH_ingest.json so sessions can track the trajectory.
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/legacy_text_parser.h"
 #include "bench_common.h"
 #include "log/binary_log.h"
 #include "log/reader.h"
@@ -94,7 +96,7 @@ int main() {
                std::ifstream file(text_path);
                std::ostringstream buffer;
                buffer << file.rdbuf();
-               PROCMINE_CHECK_OK(LogReader::ReadString(buffer.str()).status());
+               PROCMINE_CHECK_OK(legacy::ReadString(buffer.str()).status());
              }),
       text_bytes, events));
 
@@ -123,7 +125,7 @@ int main() {
   samples.push_back(MakeSample(
       "string_legacy",
       BestOf(repeats,
-             [&] { PROCMINE_CHECK_OK(LogReader::ReadString(text).status()); }),
+             [&] { PROCMINE_CHECK_OK(legacy::ReadString(text).status()); }),
       text_bytes, events));
   samples.push_back(MakeSample(
       "string_fused",

@@ -56,7 +56,7 @@ case3 E END 4
 int main(int argc, char** argv) {
   // 1. Load the log.
   Result<EventLog> log = argc > 1 ? LogReader::ReadFile(argv[1])
-                                  : LogReader::ReadString(kSampleLog);
+                                  : LogReader::ParseText(kSampleLog);
   if (!log.ok()) {
     std::cerr << "failed to read log: " << log.status().ToString() << "\n";
     return 1;

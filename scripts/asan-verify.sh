@@ -10,10 +10,15 @@
 # records parsed from hostile or torn byte streams), the open-addressing
 # table of distinct activity sets the mining pipeline fills, and the
 # per-algorithm miner suites, since the pipeline (src/mine/pipeline.cc)
-# that serves the out-of-core miner also serves every in-memory mine. Run
-# whenever src/log/segment_store, src/mine/pipeline, src/mine/ooc_miner,
-# src/obs/telemetry, src/serve/, util/id_set_table, or the binary-log
-# salvage path changes.
+# that serves the out-of-core miner also serves every in-memory mine, and
+# the text front ends: the format fuzz sweeps (garbage into every parser),
+# the ingestion equivalence suite, and the streaming and batch reader
+# tests, since the batch parser and the streaming scan share one pointer
+# line scanner (src/log/text_line.h) and one pairing routine. Run
+# whenever src/log/segment_store, src/log/reader, src/log/text_line,
+# src/log/streaming_reader, src/log/event_assembly, src/mine/pipeline,
+# src/mine/ooc_miner, src/obs/telemetry, src/serve/, util/id_set_table,
+# or the binary-log salvage path changes.
 #
 # Usage: scripts/asan-verify.sh [build-dir]   (default: build-asan)
 
@@ -31,7 +36,8 @@ cmake --build "$BUILD_DIR" -j \
   --target segment_store_test binary_log_test recovery_test \
            format_fuzz_test budget_test telemetry_test serve_test \
            id_set_table_test miner_test general_dag_miner_test \
-           cyclic_miner_test special_dag_miner_test
+           cyclic_miner_test special_dag_miner_test \
+           ingest_equivalence_test streaming_reader_test reader_writer_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|FormatFuzz|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Format(Garbage|RoundTrip|Sizes)|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest|IngestEquivalence|StreamingReader|LogReader|LogWriter'

@@ -10,23 +10,6 @@ namespace procmine {
 
 namespace {
 
-/// FIFO of open START events for one activity, reused across instances.
-/// pop-from-front is an index bump; Reset() reclaims the storage.
-struct OpenStarts {
-  struct Pending {
-    int64_t timestamp;
-    size_t seq;  // position in the instance's time-sorted record order
-  };
-  std::vector<Pending> queue;
-  size_t head = 0;
-
-  bool empty() const { return head == queue.size(); }
-  void Reset() {
-    queue.clear();
-    head = 0;
-  }
-};
-
 /// Stable sort tuned for per-execution event counts: executions are almost
 /// always small, and std::stable_sort allocates a merge buffer per call —
 /// insertion sort (inherently stable) avoids that for the common case.
@@ -49,6 +32,118 @@ void StableSortSmall(std::vector<T>* v, Less less) {
 
 }  // namespace
 
+Result<bool> InstancePairer::Pair(std::string_view instance_name,
+                                  std::vector<uint32_t>* order,
+                                  const AssemblyRecovery& recovery,
+                                  Execution* exec) {
+  const CompactEventBatch& batch = *batch_;
+  const size_t num_activities = batch.activity_names.size();
+  if (open_.size() < num_activities) {
+    open_.resize(num_activities);
+    temp_to_final_.resize(num_activities, -1);
+  }
+  StableSortSmall(order, [&](uint32_t a, uint32_t b) {
+    const CompactEvent& x = batch.events[a];
+    const CompactEvent& y = batch.events[b];
+    if (x.timestamp != y.timestamp) return x.timestamp < y.timestamp;
+    // START before END at equal timestamps, so an instantaneous activity
+    // pairs with itself.
+    return x.type < y.type;
+  });
+
+  instances_.clear();
+  std::string_view fail_class;  // empty = this instance paired cleanly
+  std::string fail_detail;
+  for (size_t seq = 0; seq < order->size(); ++seq) {
+    const CompactEvent& e = batch.events[(*order)[seq]];
+    OpenStarts& fifo = open_[static_cast<size_t>(e.activity)];
+    if (e.type == EventType::kStart) {
+      if (fifo.queue.empty()) touched_.push_back(e.activity);
+      fifo.queue.push_back({e.timestamp, seq});
+      continue;
+    }
+    if (fifo.empty()) {
+      fail_class = "end_without_start";
+      fail_detail = StrFormat(
+          "execution '%s': END without START for activity '%s'",
+          std::string(instance_name).c_str(),
+          std::string(batch.activity_names[static_cast<size_t>(e.activity)])
+              .c_str());
+      break;
+    }
+    ActivityInstance inst;
+    inst.activity = e.activity;  // batch id; remapped below
+    inst.start = fifo.queue[fifo.head++].timestamp;
+    inst.end = e.timestamp;
+    inst.output.assign(batch.outputs.begin() + e.output_begin,
+                       batch.outputs.begin() + e.output_begin + e.output_count);
+    instances_.push_back(std::move(inst));
+  }
+  if (fail_class.empty()) {
+    // Report the earliest START (in time-sorted order) left unmatched.
+    size_t first_seq = order->size();
+    int32_t first_activity = -1;
+    for (int32_t a : touched_) {
+      const OpenStarts& fifo = open_[static_cast<size_t>(a)];
+      if (!fifo.empty() && fifo.queue[fifo.head].seq < first_seq) {
+        first_seq = fifo.queue[fifo.head].seq;
+        first_activity = a;
+      }
+    }
+    if (first_activity >= 0) {
+      fail_class = "start_without_end";
+      fail_detail = StrFormat(
+          "execution '%s': START without END for activity '%s'",
+          std::string(instance_name).c_str(),
+          std::string(
+              batch.activity_names[static_cast<size_t>(first_activity)])
+              .c_str());
+    }
+  }
+  for (int32_t a : touched_) {
+    OpenStarts& fifo = open_[static_cast<size_t>(a)];
+    fifo.queue.clear();
+    fifo.head = 0;
+  }
+  touched_.clear();
+
+  if (!fail_class.empty()) {
+    if (recovery.policy == RecoveryPolicy::kStrict) {
+      return Status::InvalidArgument(fail_detail);
+    }
+    if (recovery.report != nullptr) {
+      ++recovery.report->executions_dropped;
+      recovery.report->AddErrorClass(fail_class);
+      if (recovery.policy == RecoveryPolicy::kQuarantine) {
+        QuarantineRecord record;
+        record.error_class = std::string(fail_class);
+        record.raw = std::move(fail_detail);
+        recovery.report->quarantined.push_back(std::move(record));
+      }
+    }
+    return false;  // drop the whole execution
+  }
+
+  // Activity interning is deferred until the instance pairs, so dictionary
+  // ids are assigned in pairing order. temp_to_final_ memoizes one Intern
+  // per distinct activity.
+  for (ActivityInstance& inst : instances_) {
+    ActivityId& final_id = temp_to_final_[static_cast<size_t>(inst.activity)];
+    if (final_id < 0) {
+      final_id = dict_->Intern(
+          batch.activity_names[static_cast<size_t>(inst.activity)]);
+    }
+    inst.activity = final_id;
+  }
+  StableSortSmall(&instances_,
+                  [](const ActivityInstance& a, const ActivityInstance& b) {
+                    return a.start < b.start;
+                  });
+  *exec = Execution(std::string(instance_name));
+  for (ActivityInstance& inst : instances_) exec->Append(std::move(inst));
+  return true;
+}
+
 Result<EventLog> AssembleEventLog(const CompactEventBatch& batch) {
   return AssembleEventLog(batch, AssemblyRecovery{});
 }
@@ -57,7 +152,6 @@ Result<EventLog> AssembleEventLog(const CompactEventBatch& batch,
                                   const AssemblyRecovery& recovery) {
   PROCMINE_SPAN("log.assemble");
   const size_t num_instances = batch.instance_names.size();
-  const size_t num_activities = batch.activity_names.size();
 
   // Group event indices by process instance with a stable counting sort:
   // grouped[group_begin[i] .. group_begin[i+1]) are instance i's events in
@@ -76,8 +170,8 @@ Result<EventLog> AssembleEventLog(const CompactEventBatch& batch,
     }
   }
 
-  // Instances are emitted in name order (the std::map order of the original
-  // grouping); ties cannot occur since names are interned uniquely.
+  // Instances are emitted in name order; ties cannot occur since names are
+  // interned uniquely.
   std::vector<int32_t> by_name(num_instances);
   std::iota(by_name.begin(), by_name.end(), 0);
   std::sort(by_name.begin(), by_name.end(), [&](int32_t a, int32_t b) {
@@ -86,120 +180,19 @@ Result<EventLog> AssembleEventLog(const CompactEventBatch& batch,
   });
 
   EventLog log;
-  // Activity interning is deferred until an END event pairs, so dictionary
-  // ids are assigned in pairing order — the same order FromEvents always
-  // produced. temp_to_final memoizes one Intern per distinct activity.
-  std::vector<ActivityId> temp_to_final(num_activities, -1);
-  std::vector<OpenStarts> open(num_activities);
-  std::vector<int32_t> touched;  // activity ids with a non-Reset() queue
-  std::vector<uint32_t> order;   // one instance's events, time-sorted
-  std::vector<ActivityInstance> instances;
-
+  InstancePairer pairer(&batch, &log.dictionary());
+  std::vector<uint32_t> order;  // one instance's events
   for (int32_t inst_id : by_name) {
     const uint32_t begin = group_begin[static_cast<size_t>(inst_id)];
     const uint32_t end = group_begin[static_cast<size_t>(inst_id) + 1];
     if (begin == end) continue;
-    std::string_view inst_name =
-        batch.instance_names[static_cast<size_t>(inst_id)];
-
     order.assign(grouped.begin() + begin, grouped.begin() + end);
-    StableSortSmall(&order, [&](uint32_t a, uint32_t b) {
-      const CompactEvent& x = batch.events[a];
-      const CompactEvent& y = batch.events[b];
-      if (x.timestamp != y.timestamp) return x.timestamp < y.timestamp;
-      // START before END at equal timestamps, so an instantaneous
-      // activity pairs with itself.
-      return x.type < y.type;
-    });
-
-    auto release_queues = [&]() {
-      for (int32_t a : touched) open[static_cast<size_t>(a)].Reset();
-      touched.clear();
-    };
-
-    instances.clear();
-    std::string_view fail_class;  // empty = this instance paired cleanly
-    std::string fail_detail;
-    for (size_t seq = 0; seq < order.size(); ++seq) {
-      const CompactEvent& e = batch.events[order[seq]];
-      OpenStarts& fifo = open[static_cast<size_t>(e.activity)];
-      if (e.type == EventType::kStart) {
-        if (fifo.queue.empty()) touched.push_back(e.activity);
-        fifo.queue.push_back({e.timestamp, seq});
-        continue;
-      }
-      if (fifo.empty()) {
-        fail_class = "end_without_start";
-        fail_detail = StrFormat(
-            "execution '%s': END without START for activity '%s'",
-            std::string(inst_name).c_str(),
-            std::string(batch.activity_names[static_cast<size_t>(e.activity)])
-                .c_str());
-        break;
-      }
-      ActivityInstance inst;
-      inst.activity = e.activity;  // temp id; remapped below
-      inst.start = fifo.queue[fifo.head++].timestamp;
-      inst.end = e.timestamp;
-      inst.output.assign(
-          batch.outputs.begin() + e.output_begin,
-          batch.outputs.begin() + e.output_begin + e.output_count);
-      instances.push_back(std::move(inst));
-    }
-    if (fail_class.empty()) {
-      // Report the earliest START (in time-sorted order) left unmatched.
-      size_t first_seq = order.size();
-      int32_t first_activity = -1;
-      for (int32_t a : touched) {
-        const OpenStarts& fifo = open[static_cast<size_t>(a)];
-        if (!fifo.empty() && fifo.queue[fifo.head].seq < first_seq) {
-          first_seq = fifo.queue[fifo.head].seq;
-          first_activity = a;
-        }
-      }
-      if (first_activity >= 0) {
-        fail_class = "start_without_end";
-        fail_detail = StrFormat(
-            "execution '%s': START without END for activity '%s'",
-            std::string(inst_name).c_str(),
-            std::string(
-                batch.activity_names[static_cast<size_t>(first_activity)])
-                .c_str());
-      }
-    }
-    release_queues();
-    if (!fail_class.empty()) {
-      if (recovery.policy == RecoveryPolicy::kStrict) {
-        return Status::InvalidArgument(fail_detail);
-      }
-      if (recovery.report != nullptr) {
-        ++recovery.report->executions_dropped;
-        recovery.report->AddErrorClass(fail_class);
-        if (recovery.policy == RecoveryPolicy::kQuarantine) {
-          QuarantineRecord record;
-          record.error_class = std::string(fail_class);
-          record.raw = std::move(fail_detail);
-          recovery.report->quarantined.push_back(std::move(record));
-        }
-      }
-      continue;  // drop the whole execution
-    }
-
-    for (ActivityInstance& inst : instances) {
-      ActivityId& final_id = temp_to_final[static_cast<size_t>(inst.activity)];
-      if (final_id < 0) {
-        final_id = log.dictionary().Intern(
-            batch.activity_names[static_cast<size_t>(inst.activity)]);
-      }
-      inst.activity = final_id;
-    }
-    StableSortSmall(&instances,
-                    [](const ActivityInstance& a, const ActivityInstance& b) {
-                      return a.start < b.start;
-                    });
-    Execution exec{std::string(inst_name)};
-    for (ActivityInstance& inst : instances) exec.Append(std::move(inst));
-    log.AddExecution(std::move(exec));
+    Execution exec;
+    PROCMINE_ASSIGN_OR_RETURN(
+        bool kept,
+        pairer.Pair(batch.instance_names[static_cast<size_t>(inst_id)],
+                    &order, recovery, &exec));
+    if (kept) log.AddExecution(std::move(exec));
   }
   return log;
 }

@@ -1,23 +1,25 @@
-// Compact event batches and the shared EventLog assembly pass.
+// Compact event batches and the one START/END pairing rule.
 //
-// Both ingestion fronts — the legacy EventLog::FromEvents compatibility API
-// and the zero-copy file parser in LogReader — reduce their input to the
-// same dictionary-encoded intermediate: name tables plus fixed-size event
-// records whose variable-length pieces (names, output vectors) live in
-// side pools. AssembleEventLog then performs the one canonical
-// group → sort → START/END-pair → intern pass, so every ingestion path
-// produces byte-identical EventLogs and identical error messages by
-// construction.
+// The text parser (LogReader::ParseText), EventLog::FromEvents (the XES
+// reader's route) and the streaming scan (StreamLog) reduce their input to
+// the same dictionary-encoded intermediate: name tables plus fixed-size
+// event records whose variable-length pieces (names, output vectors) live
+// in side pools. InstancePairer turns one process instance's events into
+// an Execution; AssembleEventLog runs it over a whole batch in instance
+// name order, the streaming scan over one instance at a time in file
+// order. Every front end therefore pairs events, and words its pairing
+// errors, the same way.
 //
 // The name tables are string_views borrowed from the caller (raw Event
-// structs or an mmapped file); they must stay alive across the call.
-// AssembleEventLog copies them into the EventLog's own dictionary.
+// structs or a mapped file); they must stay alive across the call.
+// Activity names are copied into the target ActivityDictionary.
 
 #ifndef PROCMINE_LOG_EVENT_ASSEMBLY_H_
 #define PROCMINE_LOG_EVENT_ASSEMBLY_H_
 
 #include <cstdint>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "log/event.h"
@@ -46,22 +48,73 @@ struct CompactEventBatch {
   std::vector<int64_t> outputs;                  ///< shared output-value pool
 };
 
-/// How AssembleEventLog treats executions whose events do not pair.
-/// Under kSkip / kQuarantine the offending execution is dropped (recorded
-/// in `report` when non-null: executions_dropped, error class
-/// end_without_start / start_without_end, and — under kQuarantine — a
-/// QuarantineRecord with byte_offset -1 carrying the strict error text).
+/// Returns the index of `name` in a borrowed name table, appending it on
+/// first sight; `ids` is the table's reverse index.
+inline int32_t InternName(std::unordered_map<std::string_view, int32_t>* ids,
+                          std::vector<std::string_view>* names,
+                          std::string_view name) {
+  auto [it, inserted] =
+      ids->emplace(name, static_cast<int32_t>(names->size()));
+  if (inserted) names->push_back(name);
+  return it->second;
+}
+
+/// How pairing treats executions whose events do not pair (see
+/// InstancePairer::Pair); `report` may be null.
 struct AssemblyRecovery {
   RecoveryPolicy policy = RecoveryPolicy::kStrict;
   IngestionReport* report = nullptr;
 };
 
-/// Assembles a batch into an EventLog: groups events by process instance
-/// (instances ordered by name), pairs START/END events FIFO per activity,
-/// orders instances by start time, and interns activity names into the
-/// log's dictionary. Semantics and error messages match the documented
-/// EventLog::FromEvents contract; the result is deterministic — independent
-/// of how the batch was produced or sharded.
+/// Pairs the events of one process instance into an Execution: sorts
+/// them by time (START before END at equal timestamps, otherwise log
+/// order), hands each END the earliest open START of its activity (FIFO),
+/// and rejects the instance when an END finds no open START
+/// (end_without_start) or a START is left open (start_without_end).
+/// Activity names are interned into the dictionary in pairing order.
+/// The open-START queues are reused across instances.
+class InstancePairer {
+ public:
+  /// `batch` supplies activity names, events and outputs and may grow
+  /// between calls; both pointers are borrowed.
+  InstancePairer(const CompactEventBatch* batch, ActivityDictionary* dict)
+      : batch_(batch), dict_(dict) {}
+
+  /// Pairs the events batch->events[i] for i in *order (one instance's
+  /// events in log order; sorted in place) into *exec. Returns true on
+  /// success. On a pairing fault, kStrict returns the error; kSkip and
+  /// kQuarantine record the dropped execution in recovery.report (a
+  /// QuarantineRecord with byte_offset -1 carrying the strict error text)
+  /// and return false.
+  Result<bool> Pair(std::string_view instance_name,
+                    std::vector<uint32_t>* order,
+                    const AssemblyRecovery& recovery, Execution* exec);
+
+ private:
+  /// FIFO of open START events for one activity; pop-from-front is an
+  /// index bump.
+  struct OpenStarts {
+    struct Pending {
+      int64_t timestamp;
+      size_t seq;  // position in the instance's time-sorted order
+    };
+    std::vector<Pending> queue;
+    size_t head = 0;
+    bool empty() const { return head == queue.size(); }
+  };
+
+  const CompactEventBatch* batch_;
+  ActivityDictionary* dict_;
+  std::vector<ActivityId> temp_to_final_;  // batch activity -> dict id
+  std::vector<OpenStarts> open_;           // by batch activity
+  std::vector<int32_t> touched_;           // activities with a used queue
+  std::vector<ActivityInstance> instances_;
+};
+
+/// Assembles a batch into an EventLog: groups events by process instance,
+/// pairs each instance (instances in name order) with InstancePairer, and
+/// orders each execution's activities by start time. The result is
+/// deterministic — independent of how the batch was produced or sharded.
 Result<EventLog> AssembleEventLog(const CompactEventBatch& batch);
 
 /// As above, but malformed executions are handled per `recovery`. With a

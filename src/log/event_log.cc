@@ -44,20 +44,12 @@ Result<EventLog> EventLog::FromEvents(const std::vector<Event>& events) {
   std::unordered_map<std::string_view, int32_t> instance_ids;
   std::unordered_map<std::string_view, int32_t> activity_ids;
   instance_ids.reserve(events.size());
-  auto intern = [](std::unordered_map<std::string_view, int32_t>* ids,
-                   std::vector<std::string_view>* names,
-                   std::string_view name) {
-    auto [it, inserted] =
-        ids->emplace(name, static_cast<int32_t>(names->size()));
-    if (inserted) names->push_back(name);
-    return it->second;
-  };
   for (const Event& e : events) {
     CompactEvent compact;
-    compact.instance = intern(&instance_ids, &batch.instance_names,
-                              e.process_instance);
-    compact.activity = intern(&activity_ids, &batch.activity_names,
-                              e.activity);
+    compact.instance = InternName(&instance_ids, &batch.instance_names,
+                                  e.process_instance);
+    compact.activity =
+        InternName(&activity_ids, &batch.activity_names, e.activity);
     compact.type = e.type;
     compact.timestamp = e.timestamp;
     compact.output_begin = static_cast<uint32_t>(batch.outputs.size());

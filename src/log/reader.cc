@@ -1,12 +1,11 @@
 #include "log/reader.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
-#include <sstream>
 #include <unordered_map>
 
 #include "log/event_assembly.h"
+#include "log/text_line.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -15,67 +14,6 @@
 #include "util/thread_pool.h"
 
 namespace procmine {
-
-Result<std::vector<Event>> LogReader::ParseEvents(const std::string& text) {
-  std::vector<Event> events;
-  std::istringstream stream(text);
-  std::string line;
-  int64_t line_no = 0;
-  while (std::getline(stream, line)) {
-    ++line_no;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    std::vector<std::string> fields = SplitWhitespace(trimmed);
-    if (fields.size() < 4) {
-      return Status::InvalidArgument(
-          StrFormat("line %lld: expected at least 4 fields, got %zu",
-                    static_cast<long long>(line_no), fields.size()));
-    }
-    Event event;
-    event.process_instance = fields[0];
-    event.activity = fields[1];
-    if (fields[2] == "START") {
-      event.type = EventType::kStart;
-    } else if (fields[2] == "END") {
-      event.type = EventType::kEnd;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("line %lld: event type must be START or END, got '%s'",
-                    static_cast<long long>(line_no), fields[2].c_str()));
-    }
-    auto ts = ParseInt64(fields[3]);
-    if (!ts.ok()) {
-      return Status::InvalidArgument(
-          StrFormat("line %lld: bad timestamp: %s",
-                    static_cast<long long>(line_no),
-                    ts.status().message().c_str()));
-    }
-    event.timestamp = *ts;
-    if (fields.size() > 4) {
-      if (event.type == EventType::kStart) {
-        return Status::InvalidArgument(StrFormat(
-            "line %lld: output parameters are only valid on END events",
-            static_cast<long long>(line_no)));
-      }
-      for (size_t i = 4; i < fields.size(); ++i) {
-        auto value = ParseInt64(fields[i]);
-        if (!value.ok()) {
-          return Status::InvalidArgument(
-              StrFormat("line %lld: bad output parameter '%s'",
-                        static_cast<long long>(line_no), fields[i].c_str()));
-        }
-        event.output.push_back(*value);
-      }
-    }
-    events.push_back(std::move(event));
-  }
-  return events;
-}
-
-Result<EventLog> LogReader::ReadString(const std::string& text) {
-  PROCMINE_ASSIGN_OR_RETURN(std::vector<Event> events, ParseEvents(text));
-  return EventLog::FromEvents(events);
-}
 
 namespace {
 
@@ -104,55 +42,19 @@ struct ParseShardResult {
 /// raw line under kQuarantine) and returns true (the caller drops the line
 /// and keeps scanning).
 bool SkipOrFail(ParseShardResult* r, RecoveryPolicy policy,
-                std::string_view error_class, std::string message,
-                const char* line_begin, const char* line_end,
-                std::string_view chunk) {
+                const LineFault& fault, const char* line_begin,
+                const char* line_end, std::string_view chunk) {
   if (policy == RecoveryPolicy::kStrict) {
     r->error_line = r->lines;
-    r->error = std::move(message);
+    r->error = fault.message;
     return false;
   }
-  ++r->report.lines_skipped;
-  r->report.AddErrorClass(error_class);
-  if (policy == RecoveryPolicy::kQuarantine) {
-    QuarantineRecord record;
-    record.byte_offset = line_begin - chunk.data();
-    record.line = r->lines;
-    record.error_class = std::string(error_class);
-    record.raw.assign(line_begin, static_cast<size_t>(line_end - line_begin));
-    r->report.quarantined.push_back(std::move(record));
-  }
+  r->report.SkipLine(
+      policy, fault.error_class, line_begin - chunk.data(), r->lines,
+      std::string_view(line_begin, static_cast<size_t>(line_end - line_begin)));
   return true;
 }
 
-int32_t InternView(std::unordered_map<std::string_view, int32_t>* ids,
-                   std::vector<std::string_view>* names,
-                   std::string_view name) {
-  auto [it, inserted] =
-      ids->emplace(name, static_cast<int32_t>(names->size()));
-  if (inserted) names->push_back(name);
-  return it->second;
-}
-
-/// The std::isspace C-locale set without going through libc: space plus
-/// the \t..\r control range.
-inline bool IsFieldSpace(char c) {
-  return c == ' ' || static_cast<unsigned char>(c - '\t') <= '\r' - '\t';
-}
-
-/// Strict integer scan for the hot path: digits with an optional '-', fully
-/// consumed. Anything else (leading '+', whitespace, junk) falls back to
-/// ParseInt64, which owns the exact dialect and error wording.
-inline bool FastParseInt(std::string_view s, int64_t* out) {
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-/// Tokenize-and-encode pass over one chunk of whole lines. Validation order
-/// and error wording replicate LogReader::ParseEvents exactly; the events
-/// themselves are dictionary-encoded on the fly instead of materialized.
-/// The loop is a single pointer scan: fields are carved out in place, so no
-/// per-line Trim/split containers and no string copies on the happy path.
 /// Lines remaining in [p, end): newline count plus a final unterminated line.
 int64_t CountRemainingLines(const char* p, const char* end) {
   int64_t lines = 0;
@@ -166,6 +68,9 @@ int64_t CountRemainingLines(const char* p, const char* end) {
   return lines;
 }
 
+/// Scan-and-encode pass over one chunk of whole lines: ScanTextLine carves
+/// each line in place and the names are dictionary-encoded on the fly, so
+/// no Event is ever materialized.
 void ParseShard(std::string_view chunk, RecoveryPolicy policy,
                 const LogParseOptions& options, ParseShardResult* r) {
   PROCMINE_SPAN("log.parse_shard");
@@ -179,6 +84,9 @@ void ParseShard(std::string_view chunk, RecoveryPolicy policy,
   // cache skips the hash lookup for those runs.
   std::string_view last_instance, last_activity;
   int32_t last_instance_id = -1, last_activity_id = -1;
+  std::string_view instance, activity;
+  CompactEvent event;
+  LineFault fault;
   ProbeTicker probe(options.probe_period_lines);
   const char* p = chunk.data();
   const char* const end = p + chunk.size();
@@ -200,112 +108,34 @@ void ParseShard(std::string_view chunk, RecoveryPolicy policy,
     const char* nl = static_cast<const char*>(
         memchr(p, '\n', static_cast<size_t>(end - p)));
     const char* const line_end = nl != nullptr ? nl : end;
-    const char* q = p;
     const char* const line_begin = p;
     p = nl != nullptr ? nl + 1 : end;
     ++r->lines;
-    // Carve the four fixed fields.
-    std::string_view fields[4];
-    size_t nfields = 0;
-    while (nfields < 4) {
-      while (q < line_end && IsFieldSpace(*q)) ++q;
-      if (q == line_end) break;
-      const char* f = q;
-      while (q < line_end && !IsFieldSpace(*q)) ++q;
-      fields[nfields++] = std::string_view(f, static_cast<size_t>(q - f));
-    }
-    if (nfields == 0) continue;           // blank line
-    if (fields[0][0] == '#') continue;    // comment
-    if (nfields < 4) {                    // scanner drained the line
-      if (SkipOrFail(r, policy, "short_line",
-                     StrFormat("expected at least 4 fields, got %zu", nfields),
-                     line_begin, line_end, chunk)) {
+    switch (ScanTextLine(line_begin, line_end, &instance, &activity, &event,
+                         &r->outputs, &fault)) {
+      case LineKind::kNoEvent:
         continue;
-      }
-      return;
-    }
-    CompactEvent event;
-    if (fields[2] == "START") {
-      event.type = EventType::kStart;
-    } else if (fields[2] == "END") {
-      event.type = EventType::kEnd;
-    } else {
-      if (SkipOrFail(r, policy, "bad_event_type",
-                     StrFormat("event type must be START or END, got '%s'",
-                               std::string(fields[2]).c_str()),
-                     line_begin, line_end, chunk)) {
-        continue;
-      }
-      return;
-    }
-    if (!FastParseInt(fields[3], &event.timestamp)) {
-      auto ts = ParseInt64(fields[3]);
-      if (!ts.ok()) {
-        if (SkipOrFail(r, policy, "bad_timestamp",
-                       StrFormat("bad timestamp: %s",
-                                 ts.status().message().c_str()),
-                       line_begin, line_end, chunk)) {
+      case LineKind::kMalformed:
+        if (SkipOrFail(r, policy, fault, line_begin, line_end, chunk)) {
           continue;
         }
         return;
-      }
-      event.timestamp = *ts;
+      case LineKind::kEvent:
+        break;
     }
-    // Any remaining tokens are output parameters, parsed as encountered.
-    event.output_begin = static_cast<uint32_t>(r->outputs.size());
-    bool line_failed = false;
-    for (;;) {
-      while (q < line_end && IsFieldSpace(*q)) ++q;
-      if (q == line_end) break;
-      const char* f = q;
-      while (q < line_end && !IsFieldSpace(*q)) ++q;
-      std::string_view token(f, static_cast<size_t>(q - f));
-      if (event.output_count == 0 && event.type == EventType::kStart) {
-        if (SkipOrFail(r, policy, "output_on_start",
-                       "output parameters are only valid on END events",
-                       line_begin, line_end, chunk)) {
-          line_failed = true;
-          break;
-        }
-        return;
-      }
-      int64_t value;
-      if (!FastParseInt(token, &value)) {
-        auto parsed = ParseInt64(token);
-        if (!parsed.ok()) {
-          if (SkipOrFail(r, policy, "bad_output",
-                         StrFormat("bad output parameter '%s'",
-                                   std::string(token).c_str()),
-                         line_begin, line_end, chunk)) {
-            line_failed = true;
-            break;
-          }
-          return;
-        }
-        value = *parsed;
-      }
-      r->outputs.push_back(value);
-      ++event.output_count;
-    }
-    if (line_failed) {
-      // Unwind output values the dropped line already pooled.
-      r->outputs.resize(event.output_begin);
-      continue;
-    }
-    if (fields[0] == last_instance) {
+    if (instance == last_instance) {
       event.instance = last_instance_id;
     } else {
-      event.instance =
-          InternView(&instance_ids, &r->instance_names, fields[0]);
-      last_instance = fields[0];
+      event.instance = InternName(&instance_ids, &r->instance_names, instance);
+      last_instance = instance;
       last_instance_id = event.instance;
     }
-    if (fields[1] == last_activity) {
+    if (activity == last_activity) {
       event.activity = last_activity_id;
     } else {
       event.activity =
-          InternView(&activity_ids, &r->activity_names, fields[1]);
-      last_activity = fields[1];
+          InternName(&activity_ids, &r->activity_names, activity);
+      last_activity = activity;
       last_activity_id = event.activity;
     }
     r->events.push_back(event);
@@ -462,11 +292,11 @@ Result<EventLog> LogReader::ParseText(std::string_view text,
     activity_remap.clear();
     for (std::string_view name : shard.instance_names) {
       instance_remap.push_back(
-          InternView(&instance_ids, &batch.instance_names, name));
+          InternName(&instance_ids, &batch.instance_names, name));
     }
     for (std::string_view name : shard.activity_names) {
       activity_remap.push_back(
-          InternView(&activity_ids, &batch.activity_names, name));
+          InternName(&activity_ids, &batch.activity_names, name));
     }
     const uint32_t output_base = static_cast<uint32_t>(batch.outputs.size());
     batch.outputs.insert(batch.outputs.end(), shard.outputs.begin(),

@@ -1,34 +1,24 @@
-// LogReader: parses workflow logs from the procmine text format.
+// LogReader: reads workflow logs in the procmine text format (the grammar
+// is in log/text_line.h: one START/END event per line).
 //
-// Format (Flowmark-like; one event per line, whitespace separated):
-//   <process_instance> <activity> START|END <timestamp> [<out1> <out2> ...]
-// Blank lines and lines starting with '#' are ignored. Output parameters may
-// only appear on END events (Definition 2: O is the output of the activity
-// if E = END and a null vector otherwise).
+// ReadFile mmaps the file (MappedFile, buffered fallback) and ParseText
+// scans string_views straight out of the mapping, interning names into
+// dictionary ids as it goes; no Event vector is ever built. With
+// options.num_threads > 1 the input is split at line boundaries and parsed
+// in parallel with shard-local dictionaries, followed by a deterministic
+// remap+merge, so the result and the error messages are byte-identical to
+// single-threaded parsing for any thread count. AssembleEventLog then
+// pairs each instance's START and END events (log/event_assembly.h).
 //
-// Two ingestion paths produce identical EventLogs (and identical error
-// messages on malformed input):
-//
-//  * ParseEvents/ReadString — the compatibility API: materializes a
-//    std::vector<Event> (two owning strings per event) and assembles it
-//    via EventLog::FromEvents.
-//  * ParseText/ReadFile — the zero-copy path: ReadFile mmaps the file
-//    (MappedFile, buffered fallback) and the fused parser tokenizes
-//    string_views straight out of the mapping, interning names into
-//    dictionary ids as it scans; no Event vector is ever built. With
-//    options.num_threads > 1 the input is split at line boundaries and
-//    parsed in parallel with shard-local dictionaries, followed by a
-//    deterministic remap+merge — the result is byte-identical to
-//    single-threaded parsing for any thread count.
+// StreamLog (log/streaming_reader.h) reads the same grammar with the same
+// line scanner and the same pairing, one execution at a time.
 
 #ifndef PROCMINE_LOG_READER_H_
 #define PROCMINE_LOG_READER_H_
 
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "log/event.h"
 #include "log/event_log.h"
 #include "log/recovery.h"
 #include "util/budget.h"
@@ -80,16 +70,8 @@ struct LogParseOptions {
 
 class LogReader {
  public:
-  /// Parses raw event records from log text (compatibility API).
-  static Result<std::vector<Event>> ParseEvents(const std::string& text);
-
-  /// Parses log text and assembles it into an EventLog via ParseEvents
-  /// (compatibility API; prefer ParseText).
-  static Result<EventLog> ReadString(const std::string& text);
-
   /// Fused zero-copy parser: tokenizes `text` in place and interns names
-  /// directly into the EventLog's dictionary. Equivalent to ReadString on
-  /// every input, valid or not.
+  /// directly into the EventLog's dictionary.
   static Result<EventLog> ParseText(std::string_view text,
                                     const LogParseOptions& options = {});
 

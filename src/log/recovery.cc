@@ -41,6 +41,21 @@ void IngestionReport::AddErrorClass(std::string_view error_class,
   }
 }
 
+void IngestionReport::SkipLine(RecoveryPolicy policy,
+                               std::string_view error_class,
+                               int64_t byte_offset, int64_t line,
+                               std::string_view raw) {
+  ++lines_skipped;
+  AddErrorClass(error_class);
+  if (policy != RecoveryPolicy::kQuarantine) return;
+  QuarantineRecord record;
+  record.byte_offset = byte_offset;
+  record.line = line;
+  record.error_class = std::string(error_class);
+  record.raw = std::string(raw);
+  quarantined.push_back(std::move(record));
+}
+
 void IngestionReport::Merge(const IngestionReport& other) {
   lines_total += other.lines_total;
   events_parsed += other.events_parsed;

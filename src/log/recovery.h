@@ -21,7 +21,8 @@
 //   text lines:  short_line, bad_event_type, bad_timestamp,
 //                output_on_start, bad_output
 //   assembly:    end_without_start, start_without_end
-//   streaming:   non_contiguous_instance, negative_duration
+//   streaming:   the text-line and assembly classes (same code), plus
+//                non_contiguous_instance
 //   binary logs: truncated_body, checksum_mismatch, bad_dictionary,
 //                semantic_error
 
@@ -90,6 +91,11 @@ struct IngestionReport {
 
   /// Bumps the count for `error_class`, keeping error_classes sorted.
   void AddErrorClass(std::string_view error_class, int64_t count = 1);
+
+  /// Counts one malformed text line dropped under `policy` (kSkip or
+  /// kQuarantine); under kQuarantine also captures it.
+  void SkipLine(RecoveryPolicy policy, std::string_view error_class,
+                int64_t byte_offset, int64_t line, std::string_view raw);
 
   /// Folds `other` into this report (shard merge). `other`'s quarantine
   /// records are appended as-is; the caller merges shards in file order.

@@ -1,10 +1,12 @@
 #include "log/streaming_reader.h"
 
-#include <algorithm>
-#include <deque>
+#include <cstring>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "log/event_assembly.h"
+#include "log/text_line.h"
 #include "obs/trace.h"
 #include "util/mapped_file.h"
 #include "util/strings.h"
@@ -13,252 +15,137 @@ namespace procmine {
 
 namespace {
 
-/// Accumulates the events of one process instance and assembles the
-/// Execution when the group ends.
-class InstanceAssembler {
+/// One streaming pass over `text`. The batch holds the scan-wide activity
+/// table (views into `text`) and the events and outputs of the one open
+/// instance; the pairer turns that instance into an Execution when its
+/// group ends.
+class StreamScan {
  public:
-  explicit InstanceAssembler(std::string name) : name_(std::move(name)) {}
-
-  /// On failure *error_class names the reject bucket (end_without_start,
-  /// negative_duration) for recovery-mode accounting.
-  Status Add(ActivityId activity, bool is_start, int64_t timestamp,
-             std::vector<int64_t> output, ActivityDictionary* dict,
-             std::string_view* error_class) {
-    if (is_start) {
-      open_[activity].push_back(timestamp);
-      return Status::OK();
-    }
-    auto it = open_.find(activity);
-    if (it == open_.end() || it->second.empty()) {
-      *error_class = "end_without_start";
-      return Status::InvalidArgument(
-          StrFormat("execution '%s': END without START for '%s'",
-                    name_.c_str(), dict->Name(activity).c_str()));
-    }
-    ActivityInstance inst;
-    inst.activity = activity;
-    inst.start = it->second.front();
-    it->second.pop_front();
-    inst.end = timestamp;
-    inst.output = std::move(output);
-    if (inst.end < inst.start) {
-      *error_class = "negative_duration";
-      return Status::InvalidArgument(
-          StrFormat("execution '%s': negative duration for '%s'",
-                    name_.c_str(), dict->Name(activity).c_str()));
-    }
-    instances_.push_back(std::move(inst));
-    return Status::OK();
+  StreamScan(std::string_view text, const ExecutionCallback& callback,
+             const StreamOptions& options)
+      : text_(text),
+        callback_(callback),
+        recovery_{options.recovery, options.report},
+        pairer_(&batch_, &dict_) {
+    if (options.report != nullptr) options.report->policy = options.recovery;
   }
+  // pairer_ points into this object.
+  StreamScan(const StreamScan&) = delete;
+  StreamScan& operator=(const StreamScan&) = delete;
 
-  Result<Execution> Finish(const ActivityDictionary& dict,
-                           std::string_view* error_class) {
-    for (const auto& [activity, queue] : open_) {
-      if (!queue.empty()) {
-        *error_class = "start_without_end";
-        return Status::InvalidArgument(
-            StrFormat("execution '%s': START without END for '%s'",
-                      name_.c_str(), dict.Name(activity).c_str()));
+  Result<StreamingStats> Run() {
+    std::string_view instance, activity;
+    CompactEvent event;
+    LineFault fault;
+    const char* p = text_.data();
+    const char* const end = p + text_.size();
+    while (p < end) {
+      const char* nl = static_cast<const char*>(
+          memchr(p, '\n', static_cast<size_t>(end - p)));
+      const char* const line_end = nl != nullptr ? nl : end;
+      const char* const line_begin = p;
+      p = nl != nullptr ? nl + 1 : end;
+      ++stats_.lines;
+      if (recovery_.report != nullptr) ++recovery_.report->lines_total;
+      switch (ScanTextLine(line_begin, line_end, &instance, &activity, &event,
+                           &batch_.outputs, &fault)) {
+        case LineKind::kNoEvent:
+          continue;
+        case LineKind::kMalformed:
+          PROCMINE_RETURN_NOT_OK(
+              SkipOrFail(fault.error_class, fault.message, line_begin,
+                         line_end));
+          continue;
+        case LineKind::kEvent:
+          break;
       }
-    }
-    std::stable_sort(instances_.begin(), instances_.end(),
-                     [](const ActivityInstance& a, const ActivityInstance& b) {
-                       return a.start < b.start;
-                     });
-    Execution exec(name_);
-    for (ActivityInstance& inst : instances_) exec.Append(std::move(inst));
-    return exec;
-  }
-
-  const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
-  std::unordered_map<ActivityId, std::deque<int64_t>> open_;
-  std::vector<ActivityInstance> instances_;
-};
-
-/// Line-at-a-time scan state, shared by the istream loop and the mmap file
-/// path: ProcessLine per input line (views may alias caller storage; they
-/// are consumed before return), then Finish once at end of input.
-class StreamParser {
- public:
-  StreamParser(const ExecutionCallback& callback, const StreamOptions& options)
-      : callback_(callback), options_(options) {
-    fields_.reserve(8);
-    if (options_.report != nullptr) {
-      options_.report->policy = options_.recovery;
-    }
-  }
-
-  /// `offset` is the line's byte offset in the source (for quarantine
-  /// records); -1 when the source is not byte-addressed (istream).
-  Status ProcessLine(std::string_view line, int64_t offset = -1) {
-    ++stats_.lines;
-    if (options_.report != nullptr) ++options_.report->lines_total;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') return Status::OK();
-    SplitWhitespaceViews(trimmed, &fields_);
-    if (fields_.size() < 4) {
-      if (SkipLine("short_line", line, offset)) return Status::OK();
-      return Status::InvalidArgument(
-          StrFormat("line %lld: expected at least 4 fields",
-                    static_cast<long long>(stats_.lines)));
-    }
-    std::string_view instance = fields_[0];
-    bool is_start = fields_[2] == "START";
-    if (!is_start && fields_[2] != "END") {
-      if (SkipLine("bad_event_type", line, offset)) return Status::OK();
-      return Status::InvalidArgument(
-          StrFormat("line %lld: bad event type '%s'",
-                    static_cast<long long>(stats_.lines),
-                    std::string(fields_[2]).c_str()));
-    }
-    auto timestamp = ParseInt64(fields_[3]);
-    if (!timestamp.ok()) {
-      if (SkipLine("bad_timestamp", line, offset)) return Status::OK();
-      return Status::InvalidArgument(
-          StrFormat("line %lld: bad timestamp",
-                    static_cast<long long>(stats_.lines)));
-    }
-    std::vector<int64_t> output;
-    for (size_t i = 4; i < fields_.size(); ++i) {
-      auto value = ParseInt64(fields_[i]);
-      if (!value.ok()) {
-        if (SkipLine("bad_output", line, offset)) return Status::OK();
-        return value.status();
-      }
-      output.push_back(*value);
-    }
-
-    if (current_ == nullptr || current_->name() != instance) {
-      if (finished_.count(std::string(instance)) > 0) {
-        if (SkipLine("non_contiguous_instance", line, offset)) {
-          return Status::OK();
+      if (!open_ || instance != current_) {
+        if (finished_.count(instance) > 0) {
+          batch_.outputs.resize(event.output_begin);
+          PROCMINE_RETURN_NOT_OK(SkipOrFail(
+              "non_contiguous_instance",
+              StrFormat("events of instance '%s' are not contiguous",
+                        std::string(instance).c_str()),
+              line_begin, line_end));
+          continue;
         }
-        return Status::InvalidArgument(StrFormat(
-            "line %lld: events of instance '%s' are not contiguous",
-            static_cast<long long>(stats_.lines),
-            std::string(instance).c_str()));
+        PROCMINE_RETURN_NOT_OK(FinishCurrent());
+        // Only this line's outputs are left in the pool: move them to the
+        // front.
+        batch_.outputs.erase(batch_.outputs.begin(),
+                             batch_.outputs.begin() + event.output_begin);
+        event.output_begin = 0;
+        current_ = instance;
+        open_ = true;
       }
-      PROCMINE_RETURN_NOT_OK(FinishCurrent());
-      current_ = std::make_unique<InstanceAssembler>(std::string(instance));
-      poison_class_ = {};
-      poison_detail_.clear();
+      event.activity =
+          InternName(&activity_ids_, &batch_.activity_names, activity);
+      batch_.events.push_back(event);
+      ++stats_.events;
+      if (recovery_.report != nullptr) ++recovery_.report->events_parsed;
     }
-    if (!poison_class_.empty()) return Status::OK();  // drop poisoned group
-    if (options_.report != nullptr) ++options_.report->events_parsed;
-    ++stats_.events;
-    std::string_view error_class;
-    Status added = current_->Add(dict_.Intern(fields_[1]), is_start,
-                                 *timestamp, std::move(output), &dict_,
-                                 &error_class);
-    if (!added.ok() && options_.recovery != RecoveryPolicy::kStrict) {
-      // The execution is unusable, but its group must still be consumed to
-      // keep contiguity tracking intact — poison it instead of returning.
-      poison_class_ = error_class;
-      poison_detail_ = added.message();
-      return Status::OK();
-    }
-    return added;
-  }
-
-  Result<StreamingStats> Finish() {
     PROCMINE_RETURN_NOT_OK(FinishCurrent());
     return stats_;
   }
 
  private:
-  /// Recovery-mode line drop: returns true when the line was skipped
-  /// (recorded in the report), false when strict semantics apply.
-  bool SkipLine(std::string_view error_class, std::string_view line,
-                int64_t offset) {
-    if (options_.recovery == RecoveryPolicy::kStrict) return false;
-    if (options_.report != nullptr) {
-      ++options_.report->lines_skipped;
-      options_.report->AddErrorClass(error_class);
-      if (options_.recovery == RecoveryPolicy::kQuarantine) {
-        QuarantineRecord record;
-        record.byte_offset = offset;
-        record.line = stats_.lines;
-        record.error_class = std::string(error_class);
-        record.raw = std::string(line);
-        options_.report->quarantined.push_back(std::move(record));
-      }
+  /// A malformed line: kStrict fails the scan with the batch parser's
+  /// "line N: " wording; otherwise the line is counted (and, under
+  /// kQuarantine, captured) and the scan goes on.
+  Status SkipOrFail(std::string_view error_class, const std::string& message,
+                    const char* line_begin, const char* line_end) {
+    if (recovery_.policy == RecoveryPolicy::kStrict) {
+      return Status::InvalidArgument(
+          StrFormat("line %lld: %s", static_cast<long long>(stats_.lines),
+                    message.c_str()));
     }
-    return true;
+    if (recovery_.report != nullptr) {
+      recovery_.report->SkipLine(
+          recovery_.policy, error_class, line_begin - text_.data(),
+          stats_.lines,
+          std::string_view(line_begin,
+                           static_cast<size_t>(line_end - line_begin)));
+    }
+    return Status::OK();
   }
 
-  /// Drops the current execution (recovery) instead of failing the scan.
-  void DropCurrent(std::string_view error_class, std::string detail) {
-    if (options_.report != nullptr) {
-      ++options_.report->executions_dropped;
-      options_.report->AddErrorClass(error_class);
-      if (options_.recovery == RecoveryPolicy::kQuarantine) {
-        QuarantineRecord record;
-        record.error_class = std::string(error_class);
-        record.raw = std::move(detail);
-        options_.report->quarantined.push_back(std::move(record));
-      }
-    }
-  }
-
+  /// Pairs the open instance and hands it to the callback (unless recovery
+  /// dropped it). The pool keeps any outputs pooled after its events.
   Status FinishCurrent() {
-    if (current_ == nullptr) return Status::OK();
-    finished_.insert(current_->name());
-    if (!poison_class_.empty()) {  // failed during Add: already classified
-      DropCurrent(poison_class_, std::move(poison_detail_));
-      current_.reset();
-      poison_class_ = {};
-      poison_detail_.clear();
-      return Status::OK();
-    }
-    std::string_view error_class;
-    auto exec = current_->Finish(dict_, &error_class);
-    if (!exec.ok()) {
-      if (options_.recovery == RecoveryPolicy::kStrict) return exec.status();
-      DropCurrent(error_class, exec.status().message());
-      current_.reset();
-      return Status::OK();
-    }
-    current_.reset();
+    if (!open_) return Status::OK();
+    open_ = false;
+    finished_.insert(current_);
+    order_.resize(batch_.events.size());
+    std::iota(order_.begin(), order_.end(), 0);
+    Execution exec;
+    Result<bool> kept = pairer_.Pair(current_, &order_, recovery_, &exec);
+    batch_.events.clear();
+    if (!kept.ok()) return kept.status();
+    if (!*kept) return Status::OK();
     ++stats_.executions;
-    return callback_(*exec, dict_);
+    return callback_(exec, dict_);
   }
 
+  const std::string_view text_;
   const ExecutionCallback& callback_;
-  StreamOptions options_;
+  const AssemblyRecovery recovery_;
   StreamingStats stats_;
   ActivityDictionary dict_;
-  std::unordered_set<std::string> finished_;
-  std::unique_ptr<InstanceAssembler> current_;
-  std::string_view poison_class_;  // non-empty: current_ is condemned
-  std::string poison_detail_;
-  std::vector<std::string_view> fields_;
+  CompactEventBatch batch_;
+  std::unordered_map<std::string_view, int32_t> activity_ids_;
+  InstancePairer pairer_;
+  std::vector<uint32_t> order_;
+  std::string_view current_;  // the open instance, when open_
+  bool open_ = false;
+  std::unordered_set<std::string_view> finished_;
 };
 
 }  // namespace
 
-Result<StreamingStats> StreamLog(std::istream* input,
-                                 const ExecutionCallback& callback) {
-  return StreamLog(input, callback, StreamOptions{});
-}
-
-Result<StreamingStats> StreamLog(std::istream* input,
+Result<StreamingStats> StreamLog(std::string_view text,
                                  const ExecutionCallback& callback,
                                  const StreamOptions& options) {
-  StreamParser parser(callback, options);
-  std::string line;
-  while (std::getline(*input, line)) {
-    PROCMINE_RETURN_NOT_OK(parser.ProcessLine(line));
-  }
-  if (input->bad()) return Status::IOError("stream read failed");
-  return parser.Finish();
-}
-
-Result<StreamingStats> StreamLogFile(const std::string& path,
-                                     const ExecutionCallback& callback) {
-  return StreamLogFile(path, callback, StreamOptions{});
+  return StreamScan(text, callback, options).Run();
 }
 
 Result<StreamingStats> StreamLogFile(const std::string& path,
@@ -266,17 +153,7 @@ Result<StreamingStats> StreamLogFile(const std::string& path,
                                      const StreamOptions& options) {
   PROCMINE_SPAN("log.stream_mmap");
   PROCMINE_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
-  StreamParser parser(callback, options);
-  std::string_view data = file.data();
-  size_t pos = 0;
-  while (pos < data.size()) {
-    size_t eol = data.find('\n', pos);
-    if (eol == std::string_view::npos) eol = data.size();
-    PROCMINE_RETURN_NOT_OK(parser.ProcessLine(data.substr(pos, eol - pos),
-                                              static_cast<int64_t>(pos)));
-    pos = eol + 1;
-  }
-  return parser.Finish();
+  return StreamLog(file.data(), callback, options);
 }
 
 }  // namespace procmine

@@ -25,7 +25,7 @@ EventLog AcyclicLog() {
     text += e + " D START 2\n" + e + " D END 4\n";
     text += e + " C START 5\n" + e + " C END 6\n";
   }
-  return LogReader::ReadString(text).ValueOrDie();
+  return LogReader::ParseText(text).ValueOrDie();
 }
 
 EventLog CyclicLog() {
@@ -36,7 +36,7 @@ EventLog CyclicLog() {
     text += e + " B START 2\n" + e + " B END 3\n";
     text += e + " A START 4\n" + e + " A END 5\n";
   }
-  return LogReader::ReadString(text).ValueOrDie();
+  return LogReader::ParseText(text).ValueOrDie();
 }
 
 TEST(RunBudgetTest, UnlimitedNeverTrips) {

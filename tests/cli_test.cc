@@ -586,6 +586,55 @@ TEST_F(MonitorCliTest, OutputsBytesIdenticalAcrossThreadsChunksAndStream) {
             ReadFileOrEmpty(dir_ + "/t1/reg/v000004.json"));
 }
 
+TEST_F(MonitorCliTest, StreamWindowsInFileOrderBatchInNameOrder) {
+  // synth names executions drift_000000, drift_000001, ...: name order is
+  // file order, so both paths see the same windows.
+  std::string edge_log = dir_ + "/edge.log";
+  CommandResult synth = RunCli(
+      "synth --drift=edge_added --executions=400 --cut=200 --seed=3 --out=" +
+      edge_log);
+  ASSERT_EQ(synth.exit_code, 0) << synth.output;
+  auto alerts = [this](const std::string& log, const std::string& tag,
+                       const std::string& flags) {
+    std::string out = dir_ + "/" + tag + ".jsonl";
+    CommandResult result =
+        RunCli("monitor " + log + " --window-executions=100 --alerts-out=" +
+               out + " " + flags);
+    EXPECT_EQ(result.exit_code, 1) << result.output;
+    return ReadFileOrEmpty(out);
+  };
+  const std::string reference = alerts(edge_log, "edge", "");
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(alerts(edge_log, "edge_stream", "--stream"), reference);
+
+  // Renamed x1..x400 in file order, name order (x1, x10, x100, ...) is no
+  // longer file order: --stream still windows in file order, the default
+  // path windows in name order and sees other windows.
+  std::string renamed_log = dir_ + "/renamed.log";
+  {
+    std::ifstream in(edge_log);
+    std::ofstream out(renamed_log);
+    std::string line, last, renamed;
+    int next = 0;
+    while (std::getline(in, line)) {
+      size_t space = line.find(' ');
+      std::string name = line.substr(0, space);
+      if (name != last) {
+        last = name;
+        renamed = "x" + std::to_string(++next);
+      }
+      out << renamed << line.substr(space) << "\n";
+    }
+  }
+  std::string expected = reference;
+  const std::string witness = "\"witness_name\": \"drift_000200\"";
+  size_t at = expected.find(witness);
+  ASSERT_NE(at, std::string::npos) << expected;
+  expected.replace(at, witness.size(), "\"witness_name\": \"x201\"");
+  EXPECT_EQ(alerts(renamed_log, "renamed_stream", "--stream"), expected);
+  EXPECT_NE(alerts(renamed_log, "renamed", ""), expected);
+}
+
 TEST_F(MonitorCliTest, DriftFreeNoisyLogExitsZero) {
   std::string quiet_log = dir_ + "/quiet.log";
   CommandResult synth = RunCli(
@@ -697,6 +746,61 @@ TEST_F(StoreCliTest, SpillDirMinesTextThroughStore) {
     return s.substr(s.find("digraph"));
   };
   EXPECT_EQ(dot(spilled.output), dot(direct.output));
+}
+
+/// `mine <log> --spill-dir=D` streams the text into a store before mining
+/// it; the model, the exit code and the error message must be the ones
+/// `mine <log>` gives.
+void ExpectSpillAgreesWithMine(const std::string& dir, const std::string& tag,
+                               const std::string& text) {
+  const std::string log = dir + "/" + tag + ".log";
+  {
+    std::ofstream out(log, std::ios::binary);
+    out << text;
+  }
+  CommandResult direct = RunCli("mine " + log);
+  CommandResult spilled =
+      RunCli("mine --spill-dir=" + dir + "/" + tag + "_store " + log);
+  ASSERT_EQ(spilled.exit_code, direct.exit_code)
+      << "mine: " << direct.output << "\nspill: " << spilled.output;
+  if (direct.exit_code != 0) {
+    EXPECT_EQ(spilled.output, direct.output);
+    return;
+  }
+  size_t direct_dot = direct.output.find("digraph");
+  size_t spilled_dot = spilled.output.find("digraph");
+  ASSERT_NE(direct_dot, std::string::npos) << direct.output;
+  ASSERT_NE(spilled_dot, std::string::npos) << spilled.output;
+  EXPECT_EQ(spilled.output.substr(spilled_dot),
+            direct.output.substr(direct_dot));
+}
+
+TEST_F(StoreCliTest, SpillAgreesWithMineOnLinesOutOfTimeOrder) {
+  // One instance's END precedes its START in the file: pairing follows the
+  // timestamps, not the line order.
+  ExpectSpillAgreesWithMine(dir_, "out_of_order",
+                            "p1 A END 5\np1 A START 3\n"
+                            "p1 B START 6\np1 B END 7\n"
+                            "p2 A START 0\np2 A END 1\n"
+                            "p2 B START 2\np2 B END 3\n");
+}
+
+TEST_F(StoreCliTest, SpillAgreesWithMineOnOutputOnStart) {
+  // Outputs appear only on END events (Definition 2).
+  ExpectSpillAgreesWithMine(dir_, "output_on_start",
+                            "p1 A START 3 42\np1 A END 5\n"
+                            "p1 B START 6\np1 B END 7\n");
+}
+
+TEST_F(StoreCliTest, SpillAgreesWithMineOnSwappedEndLines) {
+  // Two pairs of A with their END lines swapped: by time, A ran [1,2] and
+  // then [3,4].
+  ExpectSpillAgreesWithMine(dir_, "swapped_ends",
+                            "p1 A START 1\np1 A END 4\n"
+                            "p1 A START 3\np1 A END 2\n"
+                            "p1 B START 5\np1 B END 6\n"
+                            "p2 A START 0\np2 A END 1\n"
+                            "p2 B START 2\np2 B END 3\n");
 }
 
 TEST_F(StoreCliTest, StatsReportsStoreFootprint) {

@@ -47,7 +47,7 @@ class FailpointTest : public ::testing::Test {
 };
 
 EventLog DemoLog() {
-  return LogReader::ReadString(
+  return LogReader::ParseText(
              "e1 A START 0\ne1 A END 1\ne1 B START 2\ne1 B END 3 7\n"
              "e2 A START 0\ne2 A END 2\ne2 B START 3\ne2 B END 4\n")
       .ValueOrDie();

@@ -1,18 +1,21 @@
-// Old-path vs zero-copy-path ingestion equivalence.
+// Ingestion equivalence: every text front end against the legacy oracle.
 //
-// The contract of PR "zero-copy parallel ingestion": for EVERY input —
-// well-formed engine logs, paper-style examples, and malformed text — the
-// fused parser (LogReader::ParseText / ReadFile, any thread count, any
-// shard granularity) produces exactly what the legacy
-// ParseEvents + EventLog::FromEvents pipeline produces: identical
-// dictionaries (names AND id order), identical executions, identical
-// serialized bytes, and identical error messages. This is what lets
-// ReadFile switch to the new path without any caller noticing.
+// For EVERY input — well-formed engine logs, paper-style examples, and
+// malformed text — the fused parser (LogReader::ParseText / ReadFile, any
+// thread count, any shard granularity) produces exactly what the legacy
+// ParseEvents + EventLog::FromEvents pipeline (legacy_text_parser.h)
+// produces: identical dictionaries (names AND id order), identical
+// executions, identical serialized bytes, and identical error messages.
+// The streaming scan (StreamLog / StreamLogFile) must deliver ParseText's
+// executions, compared by name, on every input whose instances are
+// contiguous, and fail with ParseText's message on every single-fault
+// input.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,7 +27,10 @@
 #include "synth/noise_injector.h"
 #include "synth/random_dag.h"
 #include "util/random.h"
+#include "util/strings.h"
 #include "workflow/engine.h"
+#include "legacy_text_parser.h"
+#include "stream_equivalence.h"
 
 namespace procmine {
 namespace {
@@ -76,6 +82,12 @@ std::vector<std::string> Corpus() {
   // Overlapping activities (END after a later START).
   corpus.push_back(
       "ov A START 0\nov B START 1\nov A END 3\nov B END 4\n");
+  // Lines of one instance out of time order: pairing follows timestamps.
+  corpus.push_back(
+      "p1 A END 5\np1 A START 3\np1 B START 6\np1 B END 7\n");
+  // Two pairs of one activity with the END lines swapped.
+  corpus.push_back(
+      "p2 A START 1\np2 A END 4\np2 A START 3\np2 A END 2\n");
   // Engine-generated sweeps, with and without durations.
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     corpus.push_back(LogWriter::ToString(RandomEngineLog(seed, false)));
@@ -84,7 +96,8 @@ std::vector<std::string> Corpus() {
   return corpus;
 }
 
-/// Malformed inputs; both paths must fail with the same message.
+/// Malformed inputs, each with exactly one fault; every path must fail
+/// with the same message.
 std::vector<std::string> MalformedCorpus() {
   return {
       "case1 A START\n",
@@ -137,7 +150,7 @@ TEST(IngestEquivalenceTest, ParseTextMatchesLegacyOnCorpus) {
   int case_no = 0;
   for (const std::string& text : Corpus()) {
     std::string context = "corpus case " + std::to_string(case_no++);
-    auto legacy = LogReader::ReadString(text);
+    auto legacy = legacy::ReadString(text);
     ASSERT_TRUE(legacy.ok()) << context << ": " << legacy.status().ToString();
     for (int threads : {1, 2, 8}) {
       auto fused = LogReader::ParseText(text, ShardedOptions(threads));
@@ -153,7 +166,7 @@ TEST(IngestEquivalenceTest, IdenticalErrorsOnMalformedInput) {
   int case_no = 0;
   for (const std::string& text : MalformedCorpus()) {
     std::string context = "malformed case " + std::to_string(case_no++);
-    auto legacy = LogReader::ReadString(text);
+    auto legacy = legacy::ReadString(text);
     ASSERT_FALSE(legacy.ok()) << context;
     for (int threads : {1, 2, 8}) {
       auto fused = LogReader::ParseText(text, ShardedOptions(threads));
@@ -174,7 +187,7 @@ TEST(IngestEquivalenceTest, ReadFileMatchesReadString) {
       ASSERT_TRUE(out.is_open());
       out << text;
     }
-    auto legacy = LogReader::ReadString(text);
+    auto legacy = legacy::ReadString(text);
     ASSERT_TRUE(legacy.ok());
     for (int threads : {1, 2, 8}) {
       auto from_file = LogReader::ReadFile(path, ShardedOptions(threads));
@@ -207,9 +220,59 @@ TEST(IngestEquivalenceTest, ShardCountsDoNotChangeTheResult) {
   }
 }
 
+/// True when no instance's events resume after another instance's began —
+/// the input shape the streaming scan requires.
+bool InstancesAreContiguous(const std::string& text) {
+  std::set<std::string> finished;
+  std::string current;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    std::vector<std::string> fields = SplitWhitespace(Trim(line));
+    if (fields.empty() || fields[0][0] == '#') continue;
+    if (fields[0] == current) continue;
+    if (finished.count(fields[0]) > 0) return false;
+    if (!current.empty()) finished.insert(current);
+    current = fields[0];
+  }
+  return true;
+}
+
+TEST(IngestEquivalenceTest, StreamingMatchesParseTextOnContiguousCorpus) {
+  int compared = 0;
+  int case_no = 0;
+  for (const std::string& text : Corpus()) {
+    std::string context = "corpus case " + std::to_string(case_no++);
+    if (!InstancesAreContiguous(text)) continue;
+    auto batch = LogReader::ParseText(text);
+    ASSERT_TRUE(batch.ok()) << context << ": " << batch.status().ToString();
+    auto streamed = StreamByName(text);
+    ASSERT_TRUE(streamed.ok())
+        << context << ": " << streamed.status().ToString();
+    EXPECT_EQ(*streamed, ByName(*batch)) << context;
+    ++compared;
+  }
+  // Only the interleaved hand-written case is out of the stream's reach.
+  EXPECT_EQ(compared, static_cast<int>(Corpus().size()) - 1);
+}
+
+TEST(IngestEquivalenceTest, StreamingMatchesParseTextErrorsOnMalformedInput) {
+  int case_no = 0;
+  for (const std::string& text : MalformedCorpus()) {
+    std::string context = "malformed case " + std::to_string(case_no++);
+    auto batch = LogReader::ParseText(text);
+    ASSERT_FALSE(batch.ok()) << context;
+    auto streamed = StreamByName(text);
+    ASSERT_FALSE(streamed.ok()) << context;
+    EXPECT_EQ(batch.status().code(), streamed.status().code()) << context;
+    EXPECT_EQ(batch.status().message(), streamed.status().message())
+        << context;
+  }
+}
+
 TEST(IngestEquivalenceTest, StreamingFileMatchesInMemoryStreaming) {
-  // StreamLogFile now runs over an mmap; it must behave exactly like the
-  // istream path — same executions in the same order, same stats.
+  // StreamLogFile is an mmap plus StreamLog: same executions in the same
+  // order, same stats.
   EventLog log = RandomEngineLog(31, true);
   std::string text = LogWriter::ToString(log);
   std::string path = ::testing::TempDir() + "ingest_stream.log";
@@ -219,9 +282,8 @@ TEST(IngestEquivalenceTest, StreamingFileMatchesInMemoryStreaming) {
     out << text;
   }
   std::vector<std::string> stream_names;
-  std::istringstream in(text);
-  auto from_stream = StreamLog(&in, [&](const Execution& e,
-                                        const ActivityDictionary&) {
+  auto from_stream = StreamLog(text, [&](const Execution& e,
+                                         const ActivityDictionary&) {
     stream_names.push_back(e.name());
     return Status::OK();
   });
@@ -252,7 +314,7 @@ TEST(IngestEquivalenceTest, NoisyLogsStayEquivalent) {
     noise.seed = seed;
     EventLog noisy = InjectNoise(clean, noise);
     std::string text = LogWriter::ToString(noisy);
-    auto legacy = LogReader::ReadString(text);
+    auto legacy = legacy::ReadString(text);
     ASSERT_TRUE(legacy.ok());
     for (int threads : {1, 2, 8}) {
       auto fused = LogReader::ParseText(text, ShardedOptions(threads));

@@ -67,7 +67,7 @@ TEST(IntegrationTest, ConditionsSurviveTheLogFile) {
   ASSERT_TRUE(log.ok());
 
   std::string text = LogWriter::ToString(*log);
-  auto reread = LogReader::ReadString(text);
+  auto reread = LogReader::ParseText(text);
   ASSERT_TRUE(reread.ok());
 
   auto annotated = ProcessMiner().MineWithConditions(*reread);

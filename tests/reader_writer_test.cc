@@ -22,61 +22,62 @@ case2 C END 3
 )";
 
 TEST(LogReaderTest, ParsesEvents) {
-  auto events = LogReader::ParseEvents(kSampleLog);
-  ASSERT_TRUE(events.ok());
-  EXPECT_EQ(events->size(), 8u);
-  EXPECT_EQ((*events)[0].process_instance, "case1");
-  EXPECT_EQ((*events)[0].activity, "A");
-  EXPECT_EQ((*events)[0].type, EventType::kStart);
-  EXPECT_EQ((*events)[1].type, EventType::kEnd);
-  EXPECT_EQ((*events)[1].output, (std::vector<int64_t>{42}));
-  EXPECT_EQ((*events)[3].output, (std::vector<int64_t>{7, 9}));
+  auto log = LogReader::ParseText(kSampleLog);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  const Execution& case1 = log->execution(0);
+  EXPECT_EQ(case1.name(), "case1");
+  ASSERT_EQ(case1.size(), 2u);
+  EXPECT_EQ(log->dictionary().Name(case1[0].activity), "A");
+  EXPECT_EQ(case1[0].start, 0);
+  EXPECT_EQ(case1[0].end, 1);
+  EXPECT_EQ(case1[0].output, (std::vector<int64_t>{42}));
+  EXPECT_EQ(case1[1].output, (std::vector<int64_t>{7, 9}));
 }
 
 TEST(LogReaderTest, SkipsCommentsAndBlankLines) {
-  auto events = LogReader::ParseEvents("# only a comment\n\n  \n");
-  ASSERT_TRUE(events.ok());
-  EXPECT_TRUE(events->empty());
+  auto log = LogReader::ParseText("# only a comment\n\n  \n");
+  ASSERT_TRUE(log.ok());
+  EXPECT_EQ(log->num_executions(), 0u);
 }
 
-TEST(LogReaderTest, ReadStringAssemblesLog) {
-  auto log = LogReader::ReadString(kSampleLog);
+TEST(LogReaderTest, ParseTextAssemblesLog) {
+  auto log = LogReader::ParseText(kSampleLog);
   ASSERT_TRUE(log.ok());
   EXPECT_EQ(log->num_executions(), 2u);
   EXPECT_EQ(log->num_activities(), 3);
 }
 
 TEST(LogReaderTest, RejectsShortLines) {
-  auto r = LogReader::ParseEvents("case1 A START\n");
+  auto r = LogReader::ParseText("case1 A START\n");
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
 
 TEST(LogReaderTest, RejectsBadEventType) {
-  auto r = LogReader::ParseEvents("case1 A MIDDLE 5\n");
+  auto r = LogReader::ParseText("case1 A MIDDLE 5\n");
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("START or END"), std::string::npos);
 }
 
 TEST(LogReaderTest, RejectsBadTimestamp) {
-  auto r = LogReader::ParseEvents("case1 A START late\n");
+  auto r = LogReader::ParseText("case1 A START late\n");
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("timestamp"), std::string::npos);
 }
 
 TEST(LogReaderTest, RejectsOutputsOnStartEvents) {
-  auto r = LogReader::ParseEvents("case1 A START 0 99\n");
+  auto r = LogReader::ParseText("case1 A START 0 99\n");
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("END events"), std::string::npos);
 }
 
 TEST(LogReaderTest, RejectsBadOutputParameter) {
-  auto r = LogReader::ParseEvents("case1 A END 1 notanint\n");
+  auto r = LogReader::ParseText("case1 A END 1 notanint\n");
   EXPECT_FALSE(r.ok());
 }
 
 TEST(LogReaderTest, ErrorMessagesIncludeLineNumbers) {
-  auto r = LogReader::ParseEvents("c A START 0\nc A END x\n");
+  auto r = LogReader::ParseText("c A START 0\nc A END x\n");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("line 2"), std::string::npos);
 }
@@ -88,10 +89,10 @@ TEST(LogReaderTest, ReadFileMissingIsIOError) {
 }
 
 TEST(LogWriterTest, RoundTripExact) {
-  auto log = LogReader::ReadString(kSampleLog);
+  auto log = LogReader::ParseText(kSampleLog);
   ASSERT_TRUE(log.ok());
   std::string serialized = LogWriter::ToString(*log);
-  auto reparsed = LogReader::ReadString(serialized);
+  auto reparsed = LogReader::ParseText(serialized);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(LogWriter::ToString(*reparsed), serialized);
   EXPECT_EQ(reparsed->num_executions(), log->num_executions());

@@ -11,7 +11,6 @@
 
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -236,22 +235,20 @@ TEST(StreamingRecoveryTest, SkipsBadLinesAndPoisonedExecutions) {
 
   // Strict streaming still fails.
   {
-    std::istringstream strict_in(text);
-    auto stats = StreamLog(
-        &strict_in, [](const Execution&, const ActivityDictionary&) {
+    auto stats =
+        StreamLog(text, [](const Execution&, const ActivityDictionary&) {
           return Status::OK();
         });
     EXPECT_FALSE(stats.ok());
   }
 
-  std::istringstream in(text);
   StreamOptions options;
   options.recovery = RecoveryPolicy::kSkip;
   IngestionReport report;
   options.report = &report;
   std::vector<std::string> delivered;
   auto stats = StreamLog(
-      &in,
+      text,
       [&delivered](const Execution& exec, const ActivityDictionary&) {
         delivered.push_back(exec.name());
         return Status::OK();
@@ -275,14 +272,13 @@ TEST(StreamingRecoveryTest, NonContiguousInstanceIsSkippedNotFatal) {
       "y B END 3\n"
       "x C START 4\n"   // x already finished: non-contiguous
       "x C END 5\n";
-  std::istringstream in(text);
   StreamOptions options;
   options.recovery = RecoveryPolicy::kSkip;
   IngestionReport report;
   options.report = &report;
   std::vector<std::string> delivered;
   auto stats = StreamLog(
-      &in,
+      text,
       [&delivered](const Execution& exec, const ActivityDictionary&) {
         delivered.push_back(exec.name());
         return Status::OK();
@@ -305,7 +301,7 @@ EventLog SalvageDemoLog() {
     text += e + " Beta END " + std::to_string(t + 9) + " " +
             std::to_string(i) + "\n";
   }
-  return LogReader::ReadString(text).ValueOrDie();
+  return LogReader::ParseText(text).ValueOrDie();
 }
 
 void ExpectPrefixOf(const EventLog& salvaged, const EventLog& original) {

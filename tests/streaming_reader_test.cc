@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
 #include "log/writer.h"
 #include "mine/incremental.h"
@@ -14,7 +14,7 @@ namespace procmine {
 namespace {
 
 TEST(StreamingReaderTest, DeliversExecutionsInOrder) {
-  std::istringstream input(R"(
+  std::string input(R"(
 c1 A START 0
 c1 A END 0
 c1 B START 1
@@ -25,8 +25,8 @@ c2 A END 0
 )");
   std::vector<std::string> names;
   std::vector<size_t> sizes;
-  auto stats = StreamLog(&input, [&](const Execution& exec,
-                                     const ActivityDictionary&) {
+  auto stats = StreamLog(input, [&](const Execution& exec,
+                                    const ActivityDictionary&) {
     names.push_back(exec.name());
     sizes.push_back(exec.size());
     return Status::OK();
@@ -39,11 +39,11 @@ c2 A END 0
 }
 
 TEST(StreamingReaderTest, DictionaryGrowsAndIsShared) {
-  std::istringstream input(
+  std::string input(
       "c1 A START 0\nc1 A END 0\nc2 B START 0\nc2 B END 0\n");
   std::vector<ActivityId> first_ids;
-  auto stats = StreamLog(&input, [&](const Execution& exec,
-                                     const ActivityDictionary& dict) {
+  auto stats = StreamLog(input, [&](const Execution& exec,
+                                    const ActivityDictionary& dict) {
     first_ids.push_back(exec[0].activity);
     EXPECT_LT(exec[0].activity, dict.size());
     return Status::OK();
@@ -53,11 +53,11 @@ TEST(StreamingReaderTest, DictionaryGrowsAndIsShared) {
 }
 
 TEST(StreamingReaderTest, CallbackAbortPropagates) {
-  std::istringstream input(
+  std::string input(
       "c1 A START 0\nc1 A END 0\nc2 A START 0\nc2 A END 0\n");
   int seen = 0;
-  auto stats = StreamLog(&input, [&](const Execution&,
-                                     const ActivityDictionary&) {
+  auto stats = StreamLog(input, [&](const Execution&,
+                                    const ActivityDictionary&) {
     ++seen;
     return Status::Internal("stop here");
   });
@@ -67,10 +67,10 @@ TEST(StreamingReaderTest, CallbackAbortPropagates) {
 }
 
 TEST(StreamingReaderTest, RejectsInterleavedInstances) {
-  std::istringstream input(
+  std::string input(
       "c1 A START 0\nc1 A END 0\nc2 A START 0\nc2 A END 0\n"
       "c1 B START 1\nc1 B END 1\n");
-  auto stats = StreamLog(&input,
+  auto stats = StreamLog(input,
                          [](const Execution&, const ActivityDictionary&) {
                            return Status::OK();
                          });
@@ -80,23 +80,23 @@ TEST(StreamingReaderTest, RejectsInterleavedInstances) {
 }
 
 TEST(StreamingReaderTest, RejectsUnmatchedEvents) {
-  std::istringstream open_start("c1 A START 0\n");
-  EXPECT_FALSE(StreamLog(&open_start, [](const Execution&,
-                                         const ActivityDictionary&) {
+  std::string open_start("c1 A START 0\n");
+  EXPECT_FALSE(StreamLog(open_start, [](const Execution&,
+                                        const ActivityDictionary&) {
                  return Status::OK();
                }).ok());
-  std::istringstream bare_end("c1 A END 0\n");
-  EXPECT_FALSE(StreamLog(&bare_end, [](const Execution&,
-                                       const ActivityDictionary&) {
+  std::string bare_end("c1 A END 0\n");
+  EXPECT_FALSE(StreamLog(bare_end, [](const Execution&,
+                                      const ActivityDictionary&) {
                  return Status::OK();
                }).ok());
 }
 
 TEST(StreamingReaderTest, HandlesIntervalsAndOutputs) {
-  std::istringstream input(
+  std::string input(
       "c1 A START 5\nc1 B START 7\nc1 B END 9 42\nc1 A END 12 1 2\n");
-  auto stats = StreamLog(&input, [&](const Execution& exec,
-                                     const ActivityDictionary& dict) {
+  auto stats = StreamLog(input, [&](const Execution& exec,
+                                    const ActivityDictionary& dict) {
     EXPECT_EQ(exec.size(), 2u);
     EXPECT_EQ(dict.Name(exec[0].activity), "A");  // earliest start first
     EXPECT_EQ(exec[0].start, 5);
@@ -121,9 +121,9 @@ TEST(StreamingReaderTest, StreamingIntoIncrementalMinerMatchesBatch) {
   std::string text = LogWriter::ToString(*log);
 
   IncrementalMiner streaming_miner;
-  std::istringstream input(text);
-  auto stats = StreamLog(&input, [&](const Execution& exec,
-                                     const ActivityDictionary& dict) {
+  std::string input(text);
+  auto stats = StreamLog(input, [&](const Execution& exec,
+                                    const ActivityDictionary& dict) {
     return streaming_miner.AddExecution(exec, dict);
   });
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();

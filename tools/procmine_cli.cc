@@ -849,10 +849,12 @@ int CommandMonitor(const Args& args) {
   DriftMonitor monitor(options,
                        registry.has_value() ? &*registry : nullptr);
 
-  // --stream scans text logs execution-by-execution in bounded memory;
-  // the default path parses the whole log first (sharded across --threads).
-  // The monitor mines sequentially either way, so registry, alerts, and
-  // report are byte-identical for both paths and any thread count.
+  // --stream scans text logs execution-by-execution in bounded memory and
+  // feeds them in file order; the default path parses the whole log first
+  // (sharded across --threads) and feeds them in instance-name order. The
+  // monitor mines sequentially either way, so registry, alerts, and report
+  // are byte-identical for any thread count, and for both paths whenever
+  // instance names sort in file order.
   obs::SetCurrentPhase("monitor.ingest");
   if (args.Has("stream")) {
     if (EndsWith(path, ".bin") || EndsWith(path, ".xes")) {
