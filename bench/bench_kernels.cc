@@ -26,12 +26,12 @@
 #include <string>
 #include <vector>
 
+#include "../tests/dynamic_bitset.h"
 #include "bench_common.h"
 #include "graph/algorithms.h"
 #include "graph/digraph.h"
 #include "graph/transitive_reduction.h"
 #include "util/bit_matrix.h"
-#include "util/bitset.h"
 #include "util/random.h"
 #include "util/timer.h"
 

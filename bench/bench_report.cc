@@ -62,8 +62,8 @@ int Run() {
 
   double report_ms = MeasureMs(iterations, [&] {
     obs::RunReportOptions options;
-    options.algorithm = MinerAlgorithm::kGeneralDag;
-    options.num_threads = base.num_threads;
+    options.miner.algorithm = MinerAlgorithm::kGeneralDag;
+    options.miner.num_threads = base.num_threads;
     PROCMINE_CHECK_OK(obs::BuildRunReport(w.log, options).status());
   });
 

@@ -7,10 +7,14 @@
 #     kept+dropped always partition the candidate set,
 #   * one verdict per execution, inconsistent ones naming a violation,
 #   * the memo counters count the distinct activity sets and executions,
-#   * report bytes are identical for --threads=1 and --threads=4.
+#   * report bytes are identical for --threads=1 and --threads=4,
+#   * `procmine explain --edge` states each candidate's report fate at
+#     thresholds 1 and the given one, and explain's kept edges are the
+#     mined model (merged to base activities on the cyclic path).
 #
 # Registered as the `report_smoke` ctest (tests/CMakeLists.txt) with the
-# built CLI and examples/logs/order_fulfillment.log. Standalone usage:
+# built CLI and examples/logs/order_fulfillment.log, and as
+# `report_smoke_cyclic` with examples/logs/loan_review.log. Standalone usage:
 #   scripts/report-smoke.sh <procmine-binary> <log> [threshold]
 
 set -eu
@@ -89,4 +93,41 @@ assert hits + misses == report["num_executions"], counters
 
 print(f"report smoke OK: {len(edges)} candidates, {len(kept)} kept, "
       f"{len(rows)} sweep rows, {len(verdicts)} verdicts")
+PYEOF
+
+# explain and the report read the same recorder: for every candidate, the
+# per-edge verdict names the report's status, and explain's kept set is the
+# model the same mine emits.
+python3 - "$PROCMINE" "$LOG" "$THRESHOLD" "$TMP" <<'PYEOF'
+import json
+import subprocess
+import sys
+
+procmine, log, threshold, tmp = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4]
+for t in sorted({1, int(threshold)}):
+    path = f"{tmp}/explain_report_{t}.json"
+    subprocess.run([procmine, "mine", log, f"--threshold={t}",
+                    f"--report-out={path}"], check=True,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    with open(path) as f:
+        report = json.load(f)
+    explained_kept = []
+    for e in report["edges"]:
+        out = subprocess.run(
+            [procmine, "explain", log, f"--edge={e['from']},{e['to']}",
+             f"--threshold={t}"], check=True, capture_output=True,
+            text=True).stdout
+        assert f"({e['status']})" in out, (
+            f"T={t}: explain disagrees with the report on {e}: {out!r}")
+        if "(kept)" in out:
+            explained_kept.append(e)
+    if report["occurrence_labeled"]:
+        kept = {(e["base_from"], e["base_to"]) for e in explained_kept
+                if e["base_from"] != e["base_to"]}
+    else:
+        kept = {(e["from"], e["to"]) for e in explained_kept}
+    model = {(e["from"], e["to"]) for e in report["model"]["edges"]}
+    assert kept == model, f"T={t}: explain kept {kept} but mined {model}"
+    print(f"explain agrees with the report at T={t}: "
+          f"{len(report['edges'])} candidates, {len(explained_kept)} kept")
 PYEOF

@@ -6,6 +6,20 @@
 
 namespace procmine {
 
+std::string_view ToString(MinerAlgorithm algorithm) {
+  switch (algorithm) {
+    case MinerAlgorithm::kSpecialDag:
+      return "special_dag";
+    case MinerAlgorithm::kGeneralDag:
+      return "general_dag";
+    case MinerAlgorithm::kCyclic:
+      return "cyclic";
+    case MinerAlgorithm::kAuto:
+      break;
+  }
+  return "auto";
+}
+
 MinerAlgorithm ProcessMiner::SelectAlgorithm(const EventLog& log) {
   const NodeId n = log.num_activities();
   std::vector<uint8_t> seen(static_cast<size_t>(n), 0);

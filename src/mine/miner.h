@@ -16,6 +16,8 @@
 #ifndef PROCMINE_MINE_MINER_H_
 #define PROCMINE_MINE_MINER_H_
 
+#include <string_view>
+
 #include "log/event_log.h"
 #include "mine/condition_miner.h"
 #include "mine/conformance.h"
@@ -33,6 +35,9 @@ enum class MinerAlgorithm : int8_t {
   kGeneralDag,  ///< Algorithm 2
   kCyclic,      ///< Algorithm 3
 };
+
+/// Stable lower-snake name: "auto", "special_dag", "general_dag", "cyclic".
+std::string_view ToString(MinerAlgorithm algorithm);
 
 struct MinerOptions {
   MinerAlgorithm algorithm = MinerAlgorithm::kAuto;
@@ -53,8 +58,10 @@ struct MinerOptions {
   /// larger chunks amortize per-chunk accumulators.
   size_t chunk_size = 0;
   /// Optional edge-provenance sink (see mine/provenance.h; obs/report.h
-  /// builds full run reports on top of it). Algorithm 3 records in the
-  /// occurrence-labeled id space and attaches the labeled-to-base mapping.
+  /// builds full run reports on top of it, and `procmine explain` renders
+  /// it). The recorder learns the algorithm kAuto resolved to. Algorithm 3
+  /// records in the occurrence-labeled id space and attaches the
+  /// labeled-to-base mapping.
   /// Not owned; must outlive Mine(). Null (the default) disables recording.
   ProvenanceRecorder* provenance = nullptr;
   /// Optional run budget, checked at phase boundaries, before each window's

@@ -340,6 +340,7 @@ Result<ProcessGraph> MineWindows(const MineSource& source,
       windows_total->Set(walk.visits + per_walk);
     }
   }
+  if (prov != nullptr) prov->SetAlgorithm(algorithm);
   if (algorithm == MinerAlgorithm::kCyclic &&
       BudgetCut(options.budget, options.degradation, "cyclic.label",
                 kLabelDropped)) {

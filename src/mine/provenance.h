@@ -7,7 +7,10 @@
 // every candidate edge of step 2 its support (number of witnessing
 // executions), the first/last witnessing execution indices, and — for edges
 // that do not survive — which step dropped it and why. The recorder is the
-// raw material of obs/report.h's RunReport.
+// one answer to "why is this edge here": obs/report.h's RunReport is built
+// on it, and NarrateMining / ExplainEdge below render the paper-style
+// step-by-step account (Example 6 / Figure 3, Example 7 / Figure 4) that
+// `procmine explain` prints.
 //
 // Recording is opt-in: every instrumented site costs exactly one
 // null-pointer branch when no recorder is attached (the same discipline as
@@ -20,6 +23,7 @@
 #define PROCMINE_MINE_PROVENANCE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -27,6 +31,9 @@
 
 #include "graph/digraph.h"
 #include "log/activity_dictionary.h"
+#include "log/event_log.h"
+#include "mine/miner.h"
+#include "util/result.h"
 
 namespace procmine {
 
@@ -101,6 +108,10 @@ class ProvenanceRecorder {
     names_ = std::move(names);
   }
 
+  /// The algorithm the pipeline ran: kAuto's pick, or the one asked for.
+  void SetAlgorithm(MinerAlgorithm algorithm) { algorithm_ = algorithm; }
+  MinerAlgorithm algorithm() const { return algorithm_; }
+
   /// Cyclic miner only: labeled-id -> base-id mapping plus the base names.
   void SetBaseMapping(std::vector<ActivityId> labeled_to_base,
                       std::vector<std::string> base_names) {
@@ -111,6 +122,8 @@ class ProvenanceRecorder {
   /// Every candidate edge with its fate, sorted by (from, to) so consumers
   /// see a deterministic order.
   std::vector<EdgeProvenance> Edges() const;
+  /// One candidate's story; nullopt when (from, to) was never observed.
+  std::optional<EdgeProvenance> Find(NodeId from, NodeId to) const;
 
   /// Candidates whose support reaches `threshold` / all candidates — the
   /// inputs of the no-re-mining noise-sensitivity sweep.
@@ -135,12 +148,32 @@ class ProvenanceRecorder {
   void Reset();
 
  private:
+  EdgeProvenance Provenance(uint64_t key, const EdgeEvidence& evidence) const;
+
   EdgeEvidenceMap evidence_;
   std::unordered_map<uint64_t, DropReason> dropped_;
+  MinerAlgorithm algorithm_ = MinerAlgorithm::kAuto;
   std::vector<std::string> names_;
   std::vector<ActivityId> labeled_to_base_;
   std::vector<std::string> base_names_;
 };
+
+/// The paper-style narration of a recorded run, one line per step: the
+/// candidate count and the noise-threshold drops (step 2), the pairs seen in
+/// both orders (step 3), the strongly connected components dissolved (step
+/// 4, Algorithms 2-3; recovered as the connected components of the
+/// intra_scc edges), the dependency-graph size, and the edges the final
+/// transitive reduction removed. Names are the recorder's id space.
+std::string NarrateMining(const ProvenanceRecorder& recorder);
+
+/// Why the edge `from` -> `to` (names of the recorder's id space) is or is
+/// not in the model: kept with its support and first/last witnessing
+/// execution, never observed, or the step that dropped it. `log` is the
+/// mined log, read for the witnesses' execution names. NotFound when either
+/// name is not an activity of the recorded space.
+Result<std::string> ExplainEdge(const ProvenanceRecorder& recorder,
+                                const EventLog& log, std::string_view from,
+                                std::string_view to);
 
 }  // namespace procmine
 

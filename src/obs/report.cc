@@ -15,20 +15,6 @@ namespace procmine::obs {
 
 namespace {
 
-const char* AlgorithmName(MinerAlgorithm algorithm) {
-  switch (algorithm) {
-    case MinerAlgorithm::kSpecialDag:
-      return "special_dag";
-    case MinerAlgorithm::kGeneralDag:
-      return "general_dag";
-    case MinerAlgorithm::kCyclic:
-      return "cyclic";
-    case MinerAlgorithm::kAuto:
-      break;
-  }
-  return "auto";
-}
-
 // >= 5 distinct thresholds: 1, 2, the mined T, the Section 6 optimum, and
 // quarter points of m, padded with small consecutive values if the log is
 // tiny. Sorted ascending.
@@ -73,12 +59,9 @@ Result<RunReport> BuildRunReport(const EventLog& log,
     return Status::InvalidArgument("log is empty");
   }
 
+  const MinerOptions& mine = options.miner;
   RunReport report;
-  MinerAlgorithm algorithm = options.algorithm == MinerAlgorithm::kAuto
-                                 ? ProcessMiner::SelectAlgorithm(log)
-                                 : options.algorithm;
-  report.algorithm = AlgorithmName(algorithm);
-  report.noise_threshold = options.noise_threshold;
+  report.noise_threshold = mine.noise_threshold;
   report.num_executions = static_cast<int64_t>(log.num_executions());
   report.num_activities = static_cast<int64_t>(log.num_activities());
 
@@ -91,17 +74,13 @@ Result<RunReport> BuildRunReport(const EventLog& log,
   }
 
   ProvenanceRecorder recorder;
-  MinerOptions miner_options;
-  miner_options.algorithm = algorithm;
-  miner_options.noise_threshold = options.noise_threshold;
-  miner_options.num_threads = options.num_threads;
-  miner_options.chunk_size = options.chunk_size;
+  MinerOptions miner_options = mine;
   miner_options.provenance = &recorder;
-  miner_options.budget = options.budget;
   miner_options.degradation = &report.degradation;
   PROCMINE_ASSIGN_OR_RETURN(report.model,
                             ProcessMiner(miner_options).Mine(log));
 
+  report.algorithm = ToString(recorder.algorithm());
   report.edges = recorder.Edges();
   report.activity_names = recorder.names();
   report.occurrence_labeled = recorder.has_base_mapping();
@@ -116,7 +95,7 @@ Result<RunReport> BuildRunReport(const EventLog& log,
   // Exhausted budgets skip the audit phases rather than failing the report:
   // the partial model is still emitted, and the degradation record names the
   // first phase that was cut.
-  if (!BudgetCut(options.budget, &report.degradation, "report.conformance",
+  if (!BudgetCut(mine.budget, &report.degradation, "report.conformance",
                  "conformance audit skipped; per-execution verdicts are "
                  "absent")) {
     PROCMINE_SPAN("report.conformance");
@@ -126,21 +105,21 @@ Result<RunReport> BuildRunReport(const EventLog& log,
     // CheckLog rebuild them on one thread. The verdicts are identical either
     // way; Relations::Compute is thread-count invariant.
     std::unique_ptr<ThreadPool> audit_pool =
-        PoolForInput(options.num_threads, log.num_executions());
+        PoolForInput(mine.num_threads, log.num_executions());
     Relations relations =
-        Relations::Compute(log, audit_pool.get(), options.chunk_size);
+        Relations::Compute(log, audit_pool.get(), mine.chunk_size);
     report.conformance =
         checker.CheckLog(log, /*record_verdicts=*/true, &relations);
   }
 
-  if (!BudgetCut(options.budget, &report.degradation, "report.sensitivity",
+  if (!BudgetCut(mine.budget, &report.degradation, "report.sensitivity",
                  "noise sensitivity sweep skipped; the table is empty")) {
     PROCMINE_SPAN("report.sensitivity");
     report.epsilon = EstimateNoiseRate(log);
     const int64_t m = report.num_executions;
     std::vector<int64_t> sweep =
         options.sweep.empty()
-            ? DefaultSweep(m, options.noise_threshold, report.epsilon)
+            ? DefaultSweep(m, mine.noise_threshold, report.epsilon)
             : options.sweep;
     std::sort(sweep.begin(), sweep.end());
     sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());

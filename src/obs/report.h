@@ -54,27 +54,20 @@ struct NoiseSensitivityRow {
 };
 
 struct RunReportOptions {
-  MinerAlgorithm algorithm = MinerAlgorithm::kAuto;
-  int64_t noise_threshold = 1;  ///< the T actually mined with
-  int num_threads = 1;
-  /// Executions per work-stealing chunk (0 = default; see PlanChunks).
-  /// Forwarded to MinerOptions::chunk_size; any value yields the same model.
-  size_t chunk_size = 0;
+  /// The mine: algorithm, noise threshold T, threads, chunk size and the
+  /// optional run budget, read exactly as ProcessMiner reads them. The
+  /// budget is also checked before the conformance audit and the
+  /// sensitivity sweep: an exhausted budget skips those phases and records
+  /// the cut in RunReport::degradation instead of failing the report.
+  /// `provenance` and `degradation` are ignored: the report attaches its own
+  /// recorder and records into RunReport::degradation.
+  MinerOptions miner;
   /// Error-bound level above which a sweep row is flagged unstable.
   double unstable_cutoff = 0.05;
   /// Thresholds to sweep. Empty (default) picks >= 5 distinct values
   /// covering 1, 2, the mined T, the Section 6 optimum T*, and fractions of
   /// the execution count m.
   std::vector<int64_t> sweep;
-  /// Also learn edge conditions and keep them in `model` annotations
-  /// downstream. Off here; the CLI mines conditions separately.
-
-  /// Optional run budget (util/budget.h). Threaded into the miner, and
-  /// checked again before the conformance audit and the sensitivity sweep:
-  /// an exhausted budget skips those phases and records the cut in
-  /// RunReport::degradation instead of failing the report. Borrowed; may be
-  /// null (no limits).
-  RunBudget* budget = nullptr;
   /// Optional ingestion report from recovery-mode parsing (log/recovery.h).
   /// Copied into the report so the JSON records what the reader dropped
   /// before mining even started. Borrowed; may be null.

@@ -2,7 +2,7 @@
 //
 // The general-DAG reduce path runs a transitive reduction per execution;
 // the seed built a DirectedGraph (n adjacency vectors), a vector of
-// DynamicBitsets, and assorted temporaries for every one of them — dozens
+// per-vertex bitsets, and assorted temporaries for every one of them — dozens
 // of small heap allocations per execution, all dead microseconds later.
 // An Arena turns that churn into pointer bumps: allocate freely while
 // processing one execution, then Reset() rewinds the arena to empty while

@@ -4,10 +4,10 @@
 //
 // Rationale: the closure/reduction algorithms (Algorithm 4 of the paper) are
 // whole-row unions over per-vertex descendant sets. The seed represented a
-// matrix as std::vector<DynamicBitset> — one heap allocation per row,
-// scattered across the heap, each op a fresh element loop. BitMatrix stores
-// all rows in one 64-byte-aligned block with the row stride padded to a
-// multiple of 64 bytes, so
+// matrix as one separately allocated bitset per row — one heap allocation
+// per row, scattered across the heap, each op a fresh element loop.
+// BitMatrix stores all rows in one 64-byte-aligned block with the row
+// stride padded to a multiple of 64 bytes, so
 //   * row starts are always cache-line- (and AVX-) aligned,
 //   * walking rows in order is a linear scan the prefetcher can follow,
 //   * whole-matrix ops (merge two shard matrices) are a single flat kernel
@@ -16,8 +16,9 @@
 // The kernels are 8x word-unrolled scalar loops with a compile-time AVX2
 // path: building with -DPROCMINE_SIMD=ON (CMake adds -mavx2 and defines
 // PROCMINE_SIMD) swaps in 256-bit vector bodies. Both paths are
-// bit-identical — tests/bit_matrix_test.cc pits them against the scalar
-// DynamicBitset reference on random sizes including ragged tail words.
+// bit-identical — tests/bit_matrix_test.cc pits them against the seed's
+// one-word-at-a-time bitset (tests/dynamic_bitset.h) on random sizes
+// including ragged tail words.
 //
 // Padding bits (columns >= cols() in the last in-use words and the padding
 // words) are kept zero by every mutating member, so whole-row kernels never
@@ -215,8 +216,8 @@ inline bool Equal(const uint64_t* a, const uint64_t* b, size_t n) {
 
 }  // namespace bits
 
-/// Read-only view of one BitMatrix row. Mirrors the DynamicBitset read API
-/// so call sites port by changing only the container type.
+/// Read-only view of one BitMatrix row: Test / Count / Any / Intersects
+/// over the row's words.
 class ConstBitRow {
  public:
   ConstBitRow(const uint64_t* words, size_t cols, size_t num_words)

@@ -13,12 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include "dynamic_bitset.h"
 #include "graph/algorithms.h"
 #include "graph/digraph.h"
 #include "graph/transitive_reduction.h"
 #include "util/arena.h"
 #include "util/bit_matrix.h"
-#include "util/bitset.h"
 #include "util/random.h"
 
 namespace procmine {

@@ -1,4 +1,4 @@
-#include "util/bitset.h"
+#include "dynamic_bitset.h"
 
 #include <gtest/gtest.h>
 

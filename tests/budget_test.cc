@@ -154,7 +154,7 @@ TEST(ReportBudgetTest, DegradedReportNamesCutPhaseAndSkipsAudit) {
   RunBudget budget(limits);
   budget.Start();
   obs::RunReportOptions options;
-  options.budget = &budget;
+  options.miner.budget = &budget;
   auto report = obs::BuildRunReport(log, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->degradation.degraded);

@@ -388,6 +388,69 @@ TEST_F(CliTest, ReportCyclicLogUsesOccurrenceLabels) {
   EXPECT_NE(json.find("\"base_from\""), std::string::npos);
 }
 
+TEST_F(CliTest, ExplainCyclicLogNamesLabelledEdges) {
+  // explain mines as `mine` does, so kAuto picks Algorithm 3 and the
+  // narration speaks the occurrence-labelled names the report records.
+  CommandResult result = RunCli("explain " + std::string(kLoanLog));
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("Algorithm 3"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("Review#2"), std::string::npos)
+      << result.output;
+  CommandResult edge =
+      RunCli("explain --edge=Review#2,Approve#1 " + std::string(kLoanLog));
+  EXPECT_EQ(edge.exit_code, 0) << edge.output;
+  EXPECT_NE(edge.output.find("is in the model (kept)"), std::string::npos)
+      << edge.output;
+}
+
+TEST_F(CliTest, ExplainEdgeVerdictsOnOrderLog) {
+  const std::string log = " " + std::string(kOrderLog);
+  CommandResult kept = RunCli("explain --edge=Receive,CreditCheck" + log);
+  EXPECT_EQ(kept.exit_code, 0) << kept.output;
+  EXPECT_NE(kept.output.find("is in the model (kept): observed in 11 "
+                             "executions, first in o1"),
+            std::string::npos)
+      << kept.output;
+  CommandResult pair =
+      RunCli("explain --edge=CreditCheck,InventoryCheck" + log);
+  EXPECT_EQ(pair.exit_code, 0) << pair.output;
+  EXPECT_NE(pair.output.find("step 3 (two_cycle)"), std::string::npos)
+      << pair.output;
+  CommandResult reduced = RunCli("explain --edge=Receive,Ship" + log);
+  EXPECT_EQ(reduced.exit_code, 0) << reduced.output;
+  EXPECT_NE(reduced.output.find("steps 5-6 (transitive_reduction)"),
+            std::string::npos)
+      << reduced.output;
+}
+
+TEST_F(CliTest, ExplainUnknownActivityIsADataError) {
+  CommandResult result =
+      RunCli("explain --edge=Receive,Nowhere " + std::string(kOrderLog));
+  EXPECT_EQ(result.exit_code, 3) << result.output;
+  EXPECT_NE(result.output.find("Nowhere"), std::string::npos)
+      << result.output;
+}
+
+TEST_F(CliTest, ExplainBytesIdenticalAcrossThreadCounts) {
+  for (const std::string& args :
+       {std::string(" ") + kOrderLog, " --edge=Receive,CreditCheck " +
+                                           std::string(kOrderLog),
+        std::string(" ") + log_path_}) {
+    std::string baseline;
+    for (const char* threads : {"1", "2", "4"}) {
+      CommandResult result =
+          RunCli("explain --threads=" + std::string(threads) + args);
+      ASSERT_EQ(result.exit_code, 0) << result.output;
+      if (baseline.empty()) {
+        baseline = result.output;
+      } else {
+        EXPECT_EQ(result.output, baseline) << "--threads=" << threads << args;
+      }
+    }
+  }
+}
+
 /// Writes a hostile log: clean executions interleaved with malformed lines
 /// and executions that cannot pair.
 std::string WriteGarbageLog(const std::string& dir) {
@@ -801,6 +864,30 @@ TEST_F(StoreCliTest, SpillAgreesWithMineOnSwappedEndLines) {
                             "p1 B START 5\np1 B END 6\n"
                             "p2 A START 0\np2 A END 1\n"
                             "p2 B START 2\np2 B END 3\n");
+}
+
+TEST_F(StoreCliTest, FailedSpillRemovesOnlyTheDirectoryItCreated) {
+  const std::string bad = dir_ + "/bad.log";
+  {
+    std::ofstream out(bad, std::ios::binary);
+    out << "x A START 0\nbroken\n";
+  }
+  auto exists = [](const std::string& path) {
+    return std::system(("test -d " + path).c_str()) == 0;
+  };
+  const std::string fresh = dir_ + "/fresh_spill";
+  ASSERT_EQ(std::system(("rm -rf " + fresh).c_str()), 0);
+  CommandResult created = RunCli("mine --spill-dir=" + fresh + " " + bad);
+  EXPECT_EQ(created.exit_code, 3) << created.output;
+  EXPECT_FALSE(exists(fresh)) << "a failed spill left " << fresh;
+
+  const std::string existing = dir_ + "/existing_spill";
+  ASSERT_EQ(std::system(("rm -rf " + existing + " && mkdir " + existing)
+                            .c_str()),
+            0);
+  CommandResult kept = RunCli("mine --spill-dir=" + existing + " " + bad);
+  EXPECT_EQ(kept.exit_code, 3) << kept.output;
+  EXPECT_TRUE(exists(existing)) << "a failed spill removed " << existing;
 }
 
 TEST_F(StoreCliTest, StatsReportsStoreFootprint) {

@@ -8,7 +8,6 @@
 #include "graph/algorithms.h"
 #include "mine/metrics.h"
 #include "mine/miner.h"
-#include "util/bitset.h"
 #include "workflow/engine.h"
 
 namespace procmine {

@@ -6,7 +6,6 @@
 
 #include "graph/algorithms.h"
 #include "synth/random_dag.h"
-#include "util/bitset.h"
 
 namespace procmine {
 namespace {

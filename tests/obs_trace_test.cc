@@ -1,8 +1,9 @@
 // Span recorder: recording semantics, the disabled fast path, concurrent
 // emission from pool workers, Chrome trace-event JSON well-formedness
 // (parsed back by a small strict JSON parser), and agreement between the
-// pipeline counters and the step-by-step MiningTrace.
+// pipeline counters and an oracle built from the public step functions.
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <string>
@@ -10,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/algorithms.h"
+#include "mine/edge_collector.h"
 #include "mine/miner.h"
-#include "mine/trace.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reduce_every_execution.h"
 #include "synth/log_generator.h"
 #include "synth/noise_injector.h"
 #include "synth/random_dag.h"
@@ -250,9 +253,9 @@ TEST_F(ObsTraceTest, ChromeTraceJsonParsesBack) {
   EXPECT_NE(summary.find("general_dag.reduce"), std::string::npos);
 }
 
-// The registry's counters must agree with the step-by-step MiningTrace on
-// the same log and threshold — the counters are the cheap always-on view of
-// what the trace narrates.
+// The registry's counters must agree with Algorithm 2 replayed step by step
+// from the public step functions on the same log and threshold — the
+// counters are the cheap always-on view of what each step did.
 TEST_F(ObsTraceTest, CountersMatchMiningTrace) {
   ProcessGraph truth = [] {
     RandomDagOptions options;
@@ -269,40 +272,55 @@ TEST_F(ObsTraceTest, CountersMatchMiningTrace) {
   EventLog log = InjectNoise(*clean, noise);
   const int64_t kThreshold = 3;
 
-  // Reference: the fully-instrumented Algorithm 2 run, counted without
-  // touching the registry.
+  // Reference: steps 2-4 replayed one function at a time, and steps 5-6 by
+  // reducing every execution, counted without touching the registry.
   obs::SetMetricsEnabled(false);
+  const NodeId n = log.num_activities();
+  const EdgeCounts counts = CollectPrecedenceEdges(log);
+  const int64_t collected = BuildPrecedenceGraph(counts, n, 1).num_edges();
+  DirectedGraph g = BuildPrecedenceGraph(counts, n, kThreshold);
+  const int64_t below_threshold = collected - g.num_edges();
+  int64_t two_cycle_edges = 0;
+  for (const Edge& e : g.Edges()) {
+    if (g.HasEdge(e.to, e.from)) ++two_cycle_edges;
+  }
+  RemoveTwoCycles(&g);
+  SccResult scc = StronglyConnectedComponents(g);
+  std::vector<int> component_size(static_cast<size_t>(scc.num_components));
+  for (int32_t component : scc.component) {
+    ++component_size[static_cast<size_t>(component)];
+  }
+  const int64_t sccs = std::count_if(component_size.begin(),
+                                     component_size.end(),
+                                     [](int size) { return size > 1; });
+  const ProcessGraph oracle = MineReducingEveryExecution(log, kThreshold);
+
+  obs::SetMetricsEnabled(true);
   MinerOptions options;
   options.algorithm = MinerAlgorithm::kGeneralDag;
   options.noise_threshold = kThreshold;
-  auto trace = TraceGeneralDagMining(log, options);
-  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-
-  obs::SetMetricsEnabled(true);
-  obs::MetricsRegistry::Get().ResetAll();
   for (int threads : {1, 4}) {
     obs::MetricsRegistry::Get().ResetAll();
     options.num_threads = threads;
     auto mined = ProcessMiner(options).Mine(log);
     ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    EXPECT_TRUE(mined->graph() == oracle.graph()) << "threads=" << threads;
     obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Get().Snapshot();
     EXPECT_EQ(snapshot.CounterTotal("mine.executions_scanned"),
               static_cast<int64_t>(log.num_executions()))
         << "threads=" << threads;
-    EXPECT_EQ(snapshot.CounterTotal("mine.edges_collected"),
-              trace->after_step2.num_edges())
+    EXPECT_EQ(snapshot.CounterTotal("mine.edges_collected"), collected)
         << "threads=" << threads;
     EXPECT_EQ(snapshot.CounterTotal("mine.edges_pruned_below_threshold"),
-              static_cast<int64_t>(trace->below_threshold.size()))
+              below_threshold)
         << "threads=" << threads;
     EXPECT_EQ(snapshot.CounterTotal("mine.two_cycle_edges_removed"),
-              static_cast<int64_t>(trace->two_cycle_pairs.size()) * 2)
+              two_cycle_edges)
         << "threads=" << threads;
-    EXPECT_EQ(snapshot.CounterTotal("mine.sccs_merged"),
-              static_cast<int64_t>(trace->scc_groups.size()))
+    EXPECT_EQ(snapshot.CounterTotal("mine.sccs_merged"), sccs)
         << "threads=" << threads;
     EXPECT_EQ(snapshot.CounterTotal("general_dag.reduction_edges_marked"),
-              mined->graph().num_edges())
+              oracle.graph().num_edges())
         << "threads=" << threads;
   }
 }

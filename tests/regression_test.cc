@@ -10,7 +10,6 @@
 #include "mine/relations.h"
 #include "synth/log_generator.h"
 #include "synth/random_dag.h"
-#include "util/bitset.h"
 #include "workflow/engine.h"
 
 namespace procmine {

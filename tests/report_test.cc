@@ -34,7 +34,7 @@ EventLog Example7Log() {
 TEST(RunReportTest, ProvenancePartitionsCandidates) {
   EventLog log = Example7Log();
   RunReportOptions options;
-  options.algorithm = MinerAlgorithm::kGeneralDag;
+  options.miner.algorithm = MinerAlgorithm::kGeneralDag;
   auto report = BuildRunReport(log, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
@@ -60,7 +60,7 @@ TEST(RunReportTest, ProvenancePartitionsCandidates) {
 TEST(RunReportTest, Example7RecordsIntraSccDrops) {
   EventLog log = Example7Log();
   RunReportOptions options;
-  options.algorithm = MinerAlgorithm::kGeneralDag;
+  options.miner.algorithm = MinerAlgorithm::kGeneralDag;
   auto report = BuildRunReport(log, options);
   ASSERT_TRUE(report.ok());
   int64_t intra_scc = 0;
@@ -77,20 +77,20 @@ TEST(RunReportTest, KeptEdgesClearTheThreshold) {
   // below_threshold, and every kept edge must reach the threshold.
   EventLog log = EventLog::FromCompactStrings({"ABCF", "ACF", "ACF", "ACF"});
   RunReportOptions options;
-  options.algorithm = MinerAlgorithm::kGeneralDag;
-  options.noise_threshold = 2;
+  options.miner.algorithm = MinerAlgorithm::kGeneralDag;
+  options.miner.noise_threshold = 2;
   auto report = BuildRunReport(log, options);
   ASSERT_TRUE(report.ok());
   bool saw_below_threshold = false;
   for (const EdgeProvenance& p : report->edges) {
     if (p.kept()) {
-      EXPECT_GE(p.support, options.noise_threshold)
+      EXPECT_GE(p.support, options.miner.noise_threshold)
           << report->activity_names[static_cast<size_t>(p.edge.from)] << "->"
           << report->activity_names[static_cast<size_t>(p.edge.to)];
     }
     if (p.reason == DropReason::kBelowThreshold) {
       saw_below_threshold = true;
-      EXPECT_LT(p.support, options.noise_threshold);
+      EXPECT_LT(p.support, options.miner.noise_threshold);
     }
   }
   EXPECT_TRUE(saw_below_threshold);
@@ -101,7 +101,7 @@ TEST(RunReportTest, WitnessIndicesPointAtExecutions) {
   // witness ids must be exactly those log positions.
   EventLog log = EventLog::FromCompactStrings({"ABC", "ACB", "CAB", "ABC"});
   RunReportOptions options;
-  options.algorithm = MinerAlgorithm::kGeneralDag;
+  options.miner.algorithm = MinerAlgorithm::kGeneralDag;
   auto report = BuildRunReport(log, options);
   ASSERT_TRUE(report.ok());
   auto a = log.dictionary().Find("A");
@@ -124,7 +124,7 @@ TEST(RunReportTest, CyclicRunsRecordLabeledSpace) {
   // mines in the occurrence-labeled space.
   EventLog log = EventLog::FromCompactStrings({"SRA", "SRVRA", "SRVRA"});
   RunReportOptions options;
-  options.algorithm = MinerAlgorithm::kCyclic;
+  options.miner.algorithm = MinerAlgorithm::kCyclic;
   auto report = BuildRunReport(log, options);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->occurrence_labeled);
@@ -157,8 +157,8 @@ TEST(RunReportTest, VerdictsNameTheFirstViolatingEvent) {
   EventLog log =
       EventLog::FromCompactStrings({"ABCD", "ABCD", "ABCD", "ACBD"});
   RunReportOptions options;
-  options.algorithm = MinerAlgorithm::kGeneralDag;
-  options.noise_threshold = 2;
+  options.miner.algorithm = MinerAlgorithm::kGeneralDag;
+  options.miner.noise_threshold = 2;
   auto report = BuildRunReport(log, options);
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->conformance.verdicts.size(), 4u);
@@ -179,7 +179,7 @@ TEST(RunReportTest, VerdictsNameTheFirstViolatingEvent) {
 TEST(RunReportTest, SensitivitySweepReCutsRecordedCounters) {
   EventLog log = Example7Log();
   RunReportOptions options;
-  options.algorithm = MinerAlgorithm::kGeneralDag;
+  options.miner.algorithm = MinerAlgorithm::kGeneralDag;
   auto report = BuildRunReport(log, options);
   ASSERT_TRUE(report.ok());
   ASSERT_GE(report->sensitivity.size(), 5u);
@@ -205,7 +205,7 @@ TEST(RunReportTest, SensitivitySweepReCutsRecordedCounters) {
 TEST(RunReportTest, ExplicitSweepIsHonored) {
   EventLog log = Example7Log();
   RunReportOptions options;
-  options.algorithm = MinerAlgorithm::kGeneralDag;
+  options.miner.algorithm = MinerAlgorithm::kGeneralDag;
   options.sweep = {3, 1, 2, 2, 4};  // unsorted, duplicated on purpose
   auto report = BuildRunReport(log, options);
   ASSERT_TRUE(report.ok());
@@ -217,8 +217,8 @@ TEST(RunReportTest, ExplicitSweepIsHonored) {
 TEST(RunReportTest, JsonAndDotCarryTheStory) {
   EventLog log = EventLog::FromCompactStrings({"ABCF", "ACF", "ACF", "ACF"});
   RunReportOptions options;
-  options.algorithm = MinerAlgorithm::kGeneralDag;
-  options.noise_threshold = 2;
+  options.miner.algorithm = MinerAlgorithm::kGeneralDag;
+  options.miner.noise_threshold = 2;
   auto report = BuildRunReport(log, options);
   ASSERT_TRUE(report.ok());
 
@@ -264,15 +264,15 @@ TEST(RunReportTest, ReportBytesAreThreadCountInvariant) {
   // being compared (registration order must not differ between them).
   {
     RunReportOptions warmup;
-    warmup.num_threads = 8;
+    warmup.miner.num_threads = 8;
     ASSERT_TRUE(BuildRunReport(*log, warmup).ok());
   }
   std::string baseline;
   for (int threads : {1, 2, 8}) {
     obs::MetricsRegistry::Get().ResetAll();
     RunReportOptions options;
-    options.noise_threshold = 2;
-    options.num_threads = threads;
+    options.miner.noise_threshold = 2;
+    options.miner.num_threads = threads;
     auto report = BuildRunReport(*log, options);
     ASSERT_TRUE(report.ok()) << "threads=" << threads;
     std::string json = report->ToJson();

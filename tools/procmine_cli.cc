@@ -77,6 +77,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <iostream>
@@ -109,6 +110,7 @@
 #include "mine/model_diff.h"
 #include "mine/noise.h"
 #include "mine/ooc_miner.h"
+#include "mine/provenance.h"
 #include "obs/registry.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -116,7 +118,6 @@
 #include "synth/drift_scenario.h"
 #include "mine/reconstruct.h"
 #include "mine/sequential_patterns.h"
-#include "mine/trace.h"
 #include "workflow/engine.h"
 #include "workflow/fdl.h"
 #include "synth/log_generator.h"
@@ -381,15 +382,12 @@ Result<std::vector<int64_t>> ParseSweep(const std::string& spec) {
   return sweep;
 }
 
-Result<obs::RunReportOptions> ReportOptionsFromArgs(const Args& args,
-                                                    const EventLog& log) {
-  PROCMINE_ASSIGN_OR_RETURN(MinerOptions miner_options,
-                            MinerOptionsFromArgs(args, &log));
+/// The report flags (--sweep, --unstable-cutoff) over `miner`, the options
+/// MinerOptionsFromArgs parsed for the mine.
+Result<obs::RunReportOptions> ReportOptionsFromArgs(
+    const Args& args, const MinerOptions& miner) {
   obs::RunReportOptions options;
-  options.algorithm = miner_options.algorithm;
-  options.noise_threshold = miner_options.noise_threshold;
-  options.num_threads = miner_options.num_threads;
-  options.chunk_size = miner_options.chunk_size;
+  options.miner = miner;
   if (args.Has("sweep")) {
     PROCMINE_ASSIGN_OR_RETURN(options.sweep, ParseSweep(args.Get("sweep")));
   }
@@ -563,7 +561,9 @@ int CommandMineStore(const Args& args) {
 /// mine <text-log> --spill-dir=DIR: stream the text log into a segment
 /// store (the writer's RSS probe seals segments at the memory high-water
 /// mark, so ingestion never materializes the log), then mine it out of
-/// core. The store is left behind for reuse.
+/// core. The store is left behind for reuse. A spill that fails removes the
+/// store directory, with any segments it sealed, when this run created it;
+/// a directory that was already there is left alone.
 int CommandMineSpill(const Args& args) {
   const std::string& path = args.positional[0];
   const std::string dir = args.Get("spill-dir");
@@ -572,6 +572,12 @@ int CommandMineSpill(const Args& args) {
               << "' is already a segment store\n";
     return kExitUsage;
   }
+  std::error_code error;
+  const bool created = !std::filesystem::exists(dir, error) && !error;
+  auto fail = [&](const Status& status) {
+    if (created) std::filesystem::remove_all(dir, error);
+    return Fail(status);
+  };
   if (!EndsWith(path, ".bin") && !EndsWith(path, ".xes")) {
     auto limits = BudgetLimitsFromArgs(args);
     if (!limits.ok()) return Fail(limits.status());
@@ -585,7 +591,7 @@ int CommandMineSpill(const Args& args) {
     if (!store_options.ok()) return Fail(store_options.status());
 
     auto writer = SegmentedLogWriter::Create(dir, *store_options);
-    if (!writer.ok()) return Fail(writer.status());
+    if (!writer.ok()) return fail(writer.status());
     IngestionReport ingestion;
     StreamOptions stream_options;
     stream_options.recovery = *policy;
@@ -596,9 +602,9 @@ int CommandMineSpill(const Args& args) {
           return writer->Append(exec, dict);
         },
         stream_options);
-    if (!streamed.ok()) return Fail(streamed.status());
+    if (!streamed.ok()) return fail(streamed.status());
     Status st = writer->Finish();
-    if (!st.ok()) return Fail(st);
+    if (!st.ok()) return fail(st);
     if (ingestion.AnyLoss()) {
       std::fprintf(stderr, "%s", ingestion.SummaryText().c_str());
     }
@@ -619,10 +625,10 @@ int CommandMineSpill(const Args& args) {
     auto store_options = StoreOptionsFromArgs(args, *policy, nullptr);
     if (!store_options.ok()) return Fail(store_options.status());
     auto writer = SegmentedLogWriter::Create(dir, *store_options);
-    if (!writer.ok()) return Fail(writer.status());
+    if (!writer.ok()) return fail(writer.status());
     Status st = writer->AppendLog(*log);
     if (st.ok()) st = writer->Finish();
-    if (!st.ok()) return Fail(st);
+    if (!st.ok()) return fail(st);
   }
   Args store_args = args;
   store_args.positional[0] = dir;
@@ -669,9 +675,8 @@ int CommandMine(const Args& args) {
   // reuse the report's model below instead of mining again.
   std::optional<obs::RunReport> report;
   if (args.Has("report-out") || args.Has("report-dot")) {
-    auto report_options = ReportOptionsFromArgs(args, *log);
+    auto report_options = ReportOptionsFromArgs(args, *options);
     if (!report_options.ok()) return Fail(report_options.status());
-    report_options->budget = &budget;
     if (ingestion.policy != RecoveryPolicy::kStrict) {
       report_options->ingestion = &ingestion;
     }
@@ -1182,40 +1187,39 @@ int CommandVariants(const Args& args) {
   return 0;
 }
 
+/// Mines with `mine`'s flags and a provenance recorder attached, then
+/// renders the recorder: the step-by-step narration, or one --edge verdict.
 int CommandExplain(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: procmine explain <log> [--edge=From,To] "
-                 "[--threshold=N]\n";
-    return 2;
+                 "[--algorithm=...] [--threshold=N|auto] [--threads=N|auto] "
+                 "[--chunk-size=N]\n";
+    return kExitUsage;
+  }
+  std::vector<std::string> edge;
+  if (args.Has("edge")) {
+    edge = Split(args.Get("edge"), ',');
+    if (edge.size() != 2) {
+      std::cerr << "--edge expects From,To\n";
+      return kExitUsage;
+    }
   }
   auto log = ReadLogAuto(args.positional[0], args);
   if (!log.ok()) return Fail(log.status());
-  MinerOptions options;
-  auto threshold = ParseInt64(args.Get("threshold", "1"));
-  if (!threshold.ok()) {
-    std::cerr << "bad --threshold\n";
-    return kExitData;
+  auto options = MinerOptionsFromArgs(args, &*log);
+  if (!options.ok()) return Fail(options.status());
+  ProvenanceRecorder recorder;
+  options->provenance = &recorder;
+  auto model = ProcessMiner(*options).Mine(*log);
+  if (!model.ok()) return Fail(model.status());
+  if (edge.empty()) {
+    std::cout << NarrateMining(recorder);
+    return kExitOk;
   }
-  options.noise_threshold = *threshold;
-  auto trace = TraceGeneralDagMining(*log, options);
-  if (!trace.ok()) return Fail(trace.status());
-  if (args.Has("edge")) {
-    std::vector<std::string> parts = Split(args.Get("edge"), ',');
-    if (parts.size() != 2) {
-      std::cerr << "--edge expects From,To\n";
-      return 2;
-    }
-    auto from = log->dictionary().Find(parts[0]);
-    auto to = log->dictionary().Find(parts[1]);
-    if (!from.ok() || !to.ok()) {
-      std::cerr << "unknown activity in --edge\n";
-      return kExitData;
-    }
-    std::cout << trace->ExplainEdge(log->dictionary(), *from, *to);
-    return 0;
-  }
-  std::cout << trace->Narrate(log->dictionary());
-  return 0;
+  auto why = ExplainEdge(recorder, *log, edge[0], edge[1]);
+  if (!why.ok()) return Fail(why.status());
+  std::cout << *why;
+  return kExitOk;
 }
 
 int CommandPerf(const Args& args) {
@@ -1277,9 +1281,11 @@ int CommandReport(const Args& args) {
   IngestionReport ingestion;
   auto log = ReadLogAuto(args.positional[0], args, &ingestion);
   if (!log.ok()) return Fail(log.status());
-  auto options = ReportOptionsFromArgs(args, *log);
+  auto miner = MinerOptionsFromArgs(args, &*log);
+  if (!miner.ok()) return Fail(miner.status());
+  miner->budget = &budget;
+  auto options = ReportOptionsFromArgs(args, *miner);
   if (!options.ok()) return Fail(options.status());
-  options->budget = &budget;
   if (ingestion.policy != RecoveryPolicy::kStrict) {
     options->ingestion = &ingestion;
   }
@@ -1657,7 +1663,11 @@ void PrintUsage() {
       "  diff <log> --model=EDGEFILE\n"
       "  stats <log|store-dir>   (stores: segment/byte/cache footprint)\n"
       "  perf <log> [--dot=FILE]\n"
-      "  explain <log> [--edge=From,To] [--threshold=N]\n"
+      "  explain <log> [--edge=From,To] [--algorithm=...]\n"
+      "          [--threshold=N|auto] [--threads=N|auto] [--chunk-size=N]\n"
+      "          (mines as `mine` does, with the same flags and defaults,\n"
+      "           and narrates the run step by step or explains one edge\n"
+      "           from the recorded edge provenance)\n"
       "  variants <log> [--top=K]\n"
       "  noise <log>\n"
       "  report <log> [--algorithm=...] [--threshold=N|auto] [--out=FILE]\n"
