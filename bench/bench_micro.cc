@@ -2,12 +2,14 @@
 // complexity claims, plus ablations of our implementation choices:
 //  * Algorithm 4 transitive reduction vs. the naive reference (O(VE) claim)
 //  * Tarjan SCC
-//  * precedence-edge collection (the O(n^2 m) scan of Algorithms 1-2)
+//  * precedence-edge collection (the O(n^2 m) scan of Algorithms 1-2),
+//    against the original hash-set collector
 //  * Algorithm 1 vs Algorithm 2 end-to-end on exactly-once logs
 //  * Algorithm 2 end-to-end on a subset (walker) log
 
 #include <benchmark/benchmark.h>
 
+#include "../tests/reference_edge_collector.h"
 #include "graph/algorithms.h"
 #include "graph/transitive_reduction.h"
 #include "mine/edge_collector.h"
@@ -77,6 +79,17 @@ void BM_EdgeCollection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EdgeCollection)->Range(8, 64);
+
+// The same log through the original per-execution hash set and node map
+// (tests/reference_edge_collector.h): the baseline of the pair table.
+void BM_EdgeCollectionReference(benchmark::State& state) {
+  EventLog log = MakeExactlyOnceLog(static_cast<int>(state.range(0)), 200, 7);
+  for (auto _ : state) {
+    EdgeCounts counts = reference::CollectPrecedenceEdges(log);
+    benchmark::DoNotOptimize(counts);
+  }
+}
+BENCHMARK(BM_EdgeCollectionReference)->Range(8, 64);
 
 void BM_MineSpecialDag(benchmark::State& state) {
   EventLog log =

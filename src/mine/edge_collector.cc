@@ -1,7 +1,8 @@
 #include "mine/edge_collector.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
+#include <utility>
 #include <vector>
 
 #include "graph/algorithms.h"
@@ -14,99 +15,104 @@ namespace procmine {
 
 namespace {
 
-// Counts the precedence edges of executions [span.begin, span.end) into
-// `counts`. Instances are ordered by start time, so for a fixed instance i
-// the partners j with start(j) > end(i) form a suffix of the instance list:
-// binary-search its first index instead of scanning all pairs. (Only j > i
-// can qualify: start(j) <= start(i) <= end(i) for j <= i.) A per-execution
-// dedup set keeps the once-per-execution counting semantics of Section 6.
-void CollectSpan(const EventLog& log, ExecutionSpan span, EdgeCounts* counts) {
+// One shard's precedence pairs: an open-addressing table (linear probing,
+// load at most one half) of PackEdge keys and their evidence. Witnesses
+// are 64-bit execution indices, so the last witness serves as the
+// once-per-execution stamp without ever wrapping.
+class PairTable {
+ public:
+  /// Records that execution `e` exhibits `key`; a repeat within the same
+  /// execution finds its own stamp. A shard's executions arrive in order.
+  void Witness(uint64_t key, int64_t e) {
+    EdgeEvidence& cell = Find(key).cell;
+    if (cell.last_witness == e) return;
+    if (cell.support++ == 0) cell.first_witness = e;
+    cell.last_witness = e;
+  }
+
+  /// Folds in a table of disjoint executions (sum/min/max).
+  void Merge(const PairTable& other) {
+    for (const Slot& in : other.slots_) {
+      if (in.key != kEmpty) Find(in.key).cell.Merge(in.cell);
+    }
+  }
+
+  size_t size() const { return size_; }
+
+  /// Calls fn(key, evidence) for every pair in the table.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.key != kEmpty) fn(slot.key, slot.cell);
+    }
+  }
+
+ private:
+  // PackEdge keys have both halves below 2^31, so all-ones is never a key.
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  struct Slot {
+    uint64_t key = kEmpty;
+    EdgeEvidence cell;
+  };
+
+  // The slot of `key`, claimed with empty evidence when absent.
+  Slot& Find(uint64_t key) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t pos = static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    while (slots_[pos].key != key && slots_[pos].key != kEmpty) {
+      pos = (pos + 1) & mask;
+    }
+    Slot& slot = slots_[pos];
+    if (slot.key == kEmpty) {
+      slot.key = key;
+      ++size_;
+    }
+    return slot;
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::exchange(
+        slots_, std::vector<Slot>(std::max<size_t>(64, 2 * slots_.size())));
+    shift_ = 64 - std::countr_zero(slots_.size());
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.key != kEmpty) Find(slot.key).cell = slot.cell;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+  int shift_ = 64;
+};
+
+// Counts the precedence pairs of executions [span.begin, span.end) into
+// `pairs` and, when `sets` is non-null, adds each execution's sorted
+// activity set to `sets`, in one pass over the executions.
+void CollectSpan(const EventLog& log, ExecutionSpan span, PairTable* pairs,
+                 IdSetTable* sets) {
   PROCMINE_SPAN("edges.collect_shard");
   static obs::Counter* executions = obs::MetricsRegistry::Get().GetCounter(
       "mine.executions_scanned");
   static obs::Histogram* exec_size = obs::MetricsRegistry::Get().GetHistogram(
       "mine.execution_instances", {4, 16, 64, 256, 1024, 4096});
   executions->Add(static_cast<int64_t>(span.end - span.begin));
-  std::unordered_set<uint64_t> seen_this_exec;
+  std::vector<NodeId> present;
   for (size_t e = span.begin; e < span.end; ++e) {
-    const auto& instances = log.execution(e).instances();
-    const size_t k = instances.size();
-    exec_size->Record(static_cast<int64_t>(k));
-    seen_this_exec.clear();
-    for (size_t i = 0; i < k; ++i) {
-      const int64_t end_i = instances[i].end;
-      auto first = std::partition_point(
-          instances.begin() + static_cast<ptrdiff_t>(i) + 1, instances.end(),
-          [end_i](const ActivityInstance& x) { return x.start <= end_i; });
-      for (auto it = first; it != instances.end(); ++it) {
-        uint64_t key = PackEdge(instances[i].activity, it->activity);
-        if (seen_this_exec.insert(key).second) ++(*counts)[key];
-      }
+    const Execution& exec = log.execution(e);
+    exec_size->Record(static_cast<int64_t>(exec.size()));
+    const int64_t stamp = static_cast<int64_t>(e);
+    ForEachPrecedencePair(
+        exec, [pairs, stamp](uint64_t key) { pairs->Witness(key, stamp); });
+    if (sets == nullptr) continue;
+    present.clear();
+    for (const ActivityInstance& inst : exec.instances()) {
+      present.push_back(inst.activity);
     }
+    std::sort(present.begin(), present.end());
+    sets->Insert(present);
   }
-}
-
-// Provenance-recording twin of CollectSpan: additionally tracks first/last
-// witnessing execution index per edge. A separate function so the plain
-// counting path stays branch-free when no recorder is attached.
-void CollectEvidenceSpan(const EventLog& log, ExecutionSpan span,
-                         EdgeEvidenceMap* evidence) {
-  PROCMINE_SPAN("edges.collect_shard");
-  static obs::Counter* executions = obs::MetricsRegistry::Get().GetCounter(
-      "mine.executions_scanned");
-  static obs::Histogram* exec_size = obs::MetricsRegistry::Get().GetHistogram(
-      "mine.execution_instances", {4, 16, 64, 256, 1024, 4096});
-  executions->Add(static_cast<int64_t>(span.end - span.begin));
-  std::unordered_set<uint64_t> seen_this_exec;
-  for (size_t e = span.begin; e < span.end; ++e) {
-    const auto& instances = log.execution(e).instances();
-    const size_t k = instances.size();
-    exec_size->Record(static_cast<int64_t>(k));
-    seen_this_exec.clear();
-    for (size_t i = 0; i < k; ++i) {
-      const int64_t end_i = instances[i].end;
-      auto first = std::partition_point(
-          instances.begin() + static_cast<ptrdiff_t>(i) + 1, instances.end(),
-          [end_i](const ActivityInstance& x) { return x.start <= end_i; });
-      for (auto it = first; it != instances.end(); ++it) {
-        uint64_t key = PackEdge(instances[i].activity, it->activity);
-        if (seen_this_exec.insert(key).second) {
-          EdgeEvidence& cell = (*evidence)[key];
-          ++cell.support;
-          int64_t index = static_cast<int64_t>(e);
-          if (cell.first_witness < 0) cell.first_witness = index;
-          cell.last_witness = index;  // e is increasing within the shard
-        }
-      }
-    }
-  }
-}
-
-// Chunked evidence collection mirroring the counting path: disjoint
-// execution spans, then a sum/min/max merge that is identical for any chunk
-// count. Returns the merged evidence and fills `counts` with the supports.
-EdgeEvidenceMap CollectEvidence(const EventLog& log,
-                                const std::vector<ExecutionSpan>& spans,
-                                ThreadPool* pool, EdgeCounts* counts) {
-  std::vector<EdgeEvidenceMap> shard_evidence(spans.size());
-  if (pool != nullptr && spans.size() > 1) {
-    pool->ParallelForChunked(spans.size(), [&](size_t c) {
-      CollectEvidenceSpan(log, spans[c], &shard_evidence[c]);
-    });
-  } else {
-    for (size_t s = 0; s < spans.size(); ++s) {
-      CollectEvidenceSpan(log, spans[s], &shard_evidence[s]);
-    }
-  }
-  EdgeEvidenceMap merged = std::move(shard_evidence[0]);
-  for (size_t s = 1; s < shard_evidence.size(); ++s) {
-    for (const auto& [key, cell] : shard_evidence[s]) {
-      merged[key].Merge(cell);
-    }
-  }
-  counts->reserve(merged.size());
-  for (const auto& [key, cell] : merged) (*counts)[key] = cell.support;
-  return merged;
 }
 
 }  // namespace
@@ -117,42 +123,52 @@ EdgeCounts CollectPrecedenceEdges(const EventLog& log) {
 
 EdgeCounts CollectPrecedenceEdges(const EventLog& log, ThreadPool* pool,
                                   ProvenanceRecorder* provenance,
-                                  size_t chunk_size) {
+                                  size_t chunk_size, IdSetTable* sets) {
   PROCMINE_SPAN("edges.collect");
-  const int threads = pool == nullptr ? 1 : pool->num_threads();
-  std::vector<ExecutionSpan> spans =
-      log.Shards(PlanChunks(log.num_executions(), threads, chunk_size));
+  // Without a pool the whole log is one chunk. With one, each chunk fills
+  // its own tables (chunk 0 writes `sets` directly), merged in chunk order.
+  // Every execution counts in exactly one chunk, so the totals equal one
+  // sequential scan for any partition.
+  const size_t m = log.num_executions();
+  const std::vector<ExecutionSpan> spans =
+      pool == nullptr
+          ? std::vector<ExecutionSpan>{{0, m}}
+          : log.Shards(PlanChunks(m, pool->num_threads(), chunk_size));
   if (spans.empty()) return EdgeCounts();
-  EdgeCounts merged;
-  if (provenance != nullptr) {
-    provenance->SetEvidence(CollectEvidence(log, spans, pool, &merged));
+  std::vector<PairTable> shard_pairs(spans.size());
+  std::vector<IdSetTable> shard_sets(sets != nullptr ? spans.size() : 0);
+  auto collect = [&](size_t s) {
+    CollectSpan(log, spans[s], &shard_pairs[s],
+                sets == nullptr || s == 0 ? sets : &shard_sets[s]);
+  };
+  if (pool == nullptr) {
+    collect(0);
   } else {
-    std::vector<EdgeCounts> shard_counts(spans.size());
-    if (pool != nullptr && spans.size() > 1) {
-      pool->ParallelForChunked(spans.size(), [&](size_t c) {
-        CollectSpan(log, spans[c], &shard_counts[c]);
-      });
-    } else {
-      for (size_t s = 0; s < spans.size(); ++s) {
-        CollectSpan(log, spans[s], &shard_counts[s]);
-      }
-    }
-    // Reduce: each chunk counted disjoint executions, so summing the
-    // per-edge counters in chunk order reproduces the sequential totals for
-    // any thread count.
-    merged = std::move(shard_counts[0]);
-    for (size_t s = 1; s < shard_counts.size(); ++s) {
-      for (const auto& [key, count] : shard_counts[s]) merged[key] += count;
-    }
+    pool->ParallelForChunked(spans.size(), collect);
   }
+  PairTable& merged = shard_pairs[0];
+  for (size_t s = 1; s < spans.size(); ++s) {
+    merged.Merge(shard_pairs[s]);
+    if (sets != nullptr) sets->Merge(shard_sets[s]);
+  }
+
+  EdgeCounts counts;
+  counts.reserve(merged.size());
+  EdgeEvidenceMap evidence;
+  if (provenance != nullptr) evidence.reserve(merged.size());
+  merged.ForEach([&](uint64_t key, const EdgeEvidence& cell) {
+    counts.emplace(key, cell.support);
+    if (provenance != nullptr) evidence.emplace(key, cell);
+  });
+  if (provenance != nullptr) provenance->SetEvidence(std::move(evidence));
   static obs::Counter* collected =
       obs::MetricsRegistry::Get().GetCounter("mine.edges_collected");
-  collected->Add(static_cast<int64_t>(merged.size()));
-  PROCMINE_LOG(Debug) << "collected " << merged.size()
+  collected->Add(static_cast<int64_t>(counts.size()));
+  PROCMINE_LOG(Debug) << "collected " << counts.size()
                       << " distinct precedence edges from "
                       << log.num_executions() << " executions across "
                       << spans.size() << " shards";
-  return merged;
+  return counts;
 }
 
 DirectedGraph BuildPrecedenceGraph(const EdgeCounts& counts, NodeId num_nodes,
@@ -217,7 +233,7 @@ void RemoveIntraSccEdges(DirectedGraph* g, ProvenanceRecorder* provenance) {
     }
   }
   // A component is "merged" when it collapses >= 2 mutually-following
-  // activities (trace.cc's scc_groups reports the same sets).
+  // activities (NarrateMining recovers the same sets).
   std::vector<int64_t> members(static_cast<size_t>(scc.num_components), 0);
   for (NodeId v = 0; v < g->num_nodes(); ++v) {
     ++members[static_cast<size_t>(scc.component[static_cast<size_t>(v)])];

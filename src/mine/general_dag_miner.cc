@@ -1,6 +1,5 @@
 #include "mine/general_dag_miner.h"
 
-#include <algorithm>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -46,31 +45,6 @@ Status ValidateNoRepeats(const Execution& exec,
       "execution '%s' repeats activity '%s'; Algorithm 2 assumes an "
       "acyclic process (use CyclicMiner)",
       exec.name().c_str(), dict.Name(repeat).c_str()));
-}
-
-void GatherActivitySets(const EventLog& log, ThreadPool* pool,
-                        size_t chunk_size, IdSetTable* sets) {
-  auto gather = [&log](ExecutionSpan span, IdSetTable* into) {
-    std::vector<NodeId> present;
-    for (size_t e = span.begin; e < span.end; ++e) {
-      present.clear();
-      for (const ActivityInstance& inst : log.execution(e).instances()) {
-        present.push_back(inst.activity);
-      }
-      std::sort(present.begin(), present.end());
-      into->Insert(present);
-    }
-  };
-  if (pool == nullptr) {
-    gather(ExecutionSpan{0, log.num_executions()}, sets);
-    return;
-  }
-  std::vector<ExecutionSpan> spans = log.Shards(
-      PlanChunks(log.num_executions(), pool->num_threads(), chunk_size));
-  std::vector<IdSetTable> shard_sets(spans.size());
-  pool->ParallelForChunked(spans.size(),
-                           [&](size_t s) { gather(spans[s], &shard_sets[s]); });
-  for (const IdSetTable& shard : shard_sets) sets->Merge(shard);
 }
 
 Result<DirectedGraph> ReduceActivitySets(const DirectedGraph& dag,

@@ -45,12 +45,6 @@ Status ValidateNoRepeats(const Execution& exec,
                          const ActivityDictionary& dict,
                          std::vector<uint8_t>* seen);
 
-/// Adds each execution's sorted activity set to `sets`: one reused scratch
-/// buffer and one table probe per execution. Under `pool` the executions
-/// are gathered per shard and the shard tables merged in shard order.
-void GatherActivitySets(const EventLog& log, ThreadPool* pool,
-                        size_t chunk_size, IdSetTable* sets);
-
 /// Steps 5-6 over the distinct activity sets `sets`: reduce the subgraph of
 /// the post-SCC DAG `dag` induced by each set once, and keep the union of
 /// the surviving edges. The sets are reduced in chunks (one reducer and

@@ -109,18 +109,9 @@ Status IncrementalMiner::Absorb(const Execution& exec) {
         "acyclic setting (use CyclicMiner in batch mode)");
   }
 
-  // Per-execution precedence pairs, counted once each.
-  std::unordered_set<uint64_t> seen_pairs;
-  const auto& instances = exec.instances();
-  for (size_t i = 0; i < instances.size(); ++i) {
-    for (size_t j = 0; j < instances.size(); ++j) {
-      if (i != j && instances[i].end < instances[j].start) {
-        uint64_t key =
-            PackEdge(instances[i].activity, instances[j].activity);
-        if (seen_pairs.insert(key).second) ++counts_[key];
-      }
-    }
-  }
+  // No activity repeats, so every qualifying instance pair is a distinct
+  // activity pair and counts once.
+  ForEachPrecedencePair(exec, [this](uint64_t key) { ++counts_[key]; });
 
   ++set_counts_[std::move(present)];
   ++num_executions_;
@@ -144,39 +135,29 @@ Status IncrementalMiner::Evict(const Execution& exec) {
         "acyclic setting (use CyclicMiner in batch mode)");
   }
 
-  // Same pair enumeration as Absorb, so eviction undoes exactly what the
-  // matching Absorb contributed.
-  std::unordered_set<uint64_t> seen_pairs;
-  const auto& instances = exec.instances();
-  for (size_t i = 0; i < instances.size(); ++i) {
-    for (size_t j = 0; j < instances.size(); ++j) {
-      if (i != j && instances[i].end < instances[j].start) {
-        seen_pairs.insert(
-            PackEdge(instances[i].activity, instances[j].activity));
-      }
-    }
-  }
-
   // Validate before mutating: a failed eviction must leave the state
-  // untouched.
+  // untouched. The pairs are Absorb's enumeration, so eviction undoes
+  // exactly what the matching Absorb contributed.
   auto set_it = set_counts_.find(present);
   if (set_it == set_counts_.end() || set_it->second <= 0) {
     return Status::FailedPrecondition(
         "eviction of an execution whose activity set was never absorbed");
   }
-  for (uint64_t key : seen_pairs) {
+  bool pairs_absorbed = true;
+  ForEachPrecedencePair(exec, [&](uint64_t key) {
     auto it = counts_.find(key);
-    if (it == counts_.end() || it->second <= 0) {
-      return Status::FailedPrecondition(
-          "eviction of an execution whose precedence pairs were never "
-          "absorbed");
-    }
+    if (it == counts_.end() || it->second <= 0) pairs_absorbed = false;
+  });
+  if (!pairs_absorbed) {
+    return Status::FailedPrecondition(
+        "eviction of an execution whose precedence pairs were never "
+        "absorbed");
   }
 
-  for (uint64_t key : seen_pairs) {
+  ForEachPrecedencePair(exec, [this](uint64_t key) {
     auto it = counts_.find(key);
     if (--it->second == 0) counts_.erase(it);
-  }
+  });
   if (--set_it->second == 0) set_counts_.erase(set_it);
   --num_executions_;
   ++version_;

@@ -7,8 +7,9 @@
 // this class keeps the log's sufficient statistics — per-edge execution
 // counters (which also power the Section 6 noise threshold) and the
 // multiset of distinct activity sets (all that steps 5-6 depend on) — so an
-// update is O(len^2) and a model query costs only the structural steps over
-// DISTINCT activity sets, independent of how many executions were absorbed.
+// update costs O(len log len + its precedence pairs) and a model query
+// costs only the structural steps over DISTINCT activity sets, independent
+// of how many executions were absorbed.
 
 #ifndef PROCMINE_MINE_INCREMENTAL_H_
 #define PROCMINE_MINE_INCREMENTAL_H_

@@ -130,10 +130,11 @@ const char* CheckSpan(MinerAlgorithm algorithm) {
 // One scan walk with `algorithm`'s check. Every execution of a window is
 // checked before the window is collected, so the first bad execution in
 // log order is the one reported. Labels are interned in log order, so they
-// match the ids a whole-log labeling pass assigns. Windows partition the
-// executions, and CollectSpan's per-execution dedup never crosses
-// executions, so the summed counts equal a one-shot collection over the
-// whole log.
+// match the ids a whole-log labeling pass assigns. Each window's executions
+// are counted and their activity sets gathered in one pass. Windows
+// partition the executions, and the collector's once-per-execution stamp
+// never crosses executions, so the summed counts equal a one-shot
+// collection over the whole log.
 Status ScanWindows(Walk* walk, MinerAlgorithm algorithm,
                    const MinerOptions& options, Scan* scan) {
   std::optional<obs::ScopedSpan> span;
@@ -184,16 +185,13 @@ Status ScanWindows(Walk* walk, MinerAlgorithm algorithm,
     const EventLog& log = algorithm == MinerAlgorithm::kCyclic ? labeled : w;
     scan->executions += static_cast<int64_t>(w.num_executions());
     scan->events += 2 * w.TotalInstances();
-    EdgeCounts counts = CollectPrecedenceEdges(log, walk->pool,
-                                               options.provenance,
-                                               walk->chunk_size);
+    EdgeCounts counts = CollectPrecedenceEdges(
+        log, walk->pool, options.provenance, walk->chunk_size,
+        algorithm == MinerAlgorithm::kSpecialDag ? nullptr : &scan->sets);
     if (scan->counts.empty()) {
       scan->counts = std::move(counts);
     } else {
       for (const auto& [key, count] : counts) scan->counts[key] += count;
-    }
-    if (algorithm != MinerAlgorithm::kSpecialDag) {
-      GatherActivitySets(log, walk->pool, walk->chunk_size, &scan->sets);
     }
     return true;
   });

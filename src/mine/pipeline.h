@@ -12,9 +12,11 @@
 //           checks every execution the way the algorithm needs (kAuto:
 //           SelectAlgorithm's rule; Algorithm 1: ValidateExactlyOnce;
 //           Algorithm 2: ValidateNoRepeats; Algorithm 3: occurrence
-//           labeling, then RelabelLog), collects the window's precedence
-//           counts into one sum and, for Algorithms 2 and 3, adds its
-//           activity sets to one table of distinct sets.
+//           labeling, then RelabelLog), then makes one collect pass over
+//           the window's executions: each execution's precedence pairs go
+//           into the collector's stamped pair table and, for Algorithms 2
+//           and 3, its sorted activity set into one table of distinct
+//           sets. The window's counts are added to one sum.
 //   finish  steps 2-4 on the summed counts, then transitive reduction
 //           (Algorithm 1) or ReduceActivitySets (Algorithms 2 and 3), then
 //           the step 8 merge (Algorithm 3).

@@ -15,8 +15,8 @@
 // Recording is opt-in: every instrumented site costs exactly one
 // null-pointer branch when no recorder is attached (the same discipline as
 // obs/metrics.h). The recorder itself is only ever touched from the
-// orchestrating thread — shard workers fill per-shard evidence maps that
-// are merged deterministically (sum/min/max) before registration — so the
+// orchestrating thread — shard workers fill per-shard pair tables that are
+// merged deterministically (sum/min/max) before registration — so the
 // recorded provenance is byte-identical for any thread count.
 
 #ifndef PROCMINE_MINE_PROVENANCE_H_

@@ -1,6 +1,13 @@
 #include "mine/edge_collector.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "reference_edge_collector.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace procmine {
 namespace {
@@ -46,6 +53,81 @@ TEST(EdgeCollectorTest, OverlappingIntervalsProduceNoEdge) {
   log.dictionary().Intern("B");
   log.AddExecution(std::move(exec));
   EXPECT_TRUE(CollectPrecedenceEdges(log).empty());
+}
+
+// A random log with every shape the collector must count like the
+// reference: repeated activities, equal and overlapping timestamps,
+// single-instance executions, and ids above 2^16 (the range of Algorithm
+// 3's labelled ids). The collector reads ids only, so the dictionary stays
+// empty.
+EventLog RandomCollectorLog(uint64_t seed, size_t executions) {
+  Rng rng(seed);
+  std::vector<ActivityId> alphabet;
+  for (ActivityId a = 0; a < 10; ++a) alphabet.push_back(a);
+  for (ActivityId a = 0; a < 6; ++a) alphabet.push_back(65536 + 997 * a);
+  EventLog log;
+  for (size_t e = 0; e < executions; ++e) {
+    const int64_t k = rng.Uniform(5) == 0 ? 1 : rng.UniformRange(2, 14);
+    std::vector<ActivityInstance> instances;
+    for (int64_t i = 0; i < k; ++i) {
+      const int64_t start = rng.UniformRange(0, 12);
+      const int64_t length = static_cast<int64_t>(rng.Uniform(3));
+      instances.push_back(
+          {alphabet[rng.Uniform(alphabet.size())], start, start + length, {}});
+    }
+    std::stable_sort(instances.begin(), instances.end(),
+                     [](const ActivityInstance& a, const ActivityInstance& b) {
+                       return a.start < b.start;
+                     });
+    Execution exec("e" + std::to_string(e));
+    for (ActivityInstance& inst : instances) exec.Append(std::move(inst));
+    log.AddExecution(std::move(exec));
+  }
+  return log;
+}
+
+TEST(EdgeCollectorPropertyTest, MatchesReferenceAtAnyPartition) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    EventLog log = RandomCollectorLog(seed, 400);
+    const EdgeCounts want_counts = reference::CollectPrecedenceEdges(log);
+    const EdgeEvidenceMap want_evidence = reference::CollectEvidence(log);
+    // Step 5-6's table, gathered one execution at a time in log order.
+    IdSetTable want_sets;
+    for (const Execution& exec : log.executions()) {
+      std::vector<ActivityId> present = exec.Sequence();
+      std::sort(present.begin(), present.end());
+      want_sets.Insert(present);
+    }
+    ASSERT_GT(want_sets.size(), 1u);
+    for (int threads : {1, 2, 8}) {
+      ThreadPool pool(threads);
+      for (size_t chunk : {size_t{1}, size_t{7}, size_t{0}}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " threads "
+                                        << threads << " chunk " << chunk);
+        EXPECT_EQ(CollectPrecedenceEdges(log, &pool, nullptr, chunk),
+                  want_counts);
+
+        ProvenanceRecorder recorder;
+        IdSetTable sets;
+        EXPECT_EQ(CollectPrecedenceEdges(log, &pool, &recorder, chunk, &sets),
+                  want_counts);
+        ASSERT_EQ(recorder.evidence().size(), want_evidence.size());
+        for (const auto& [key, want] : want_evidence) {
+          auto it = recorder.evidence().find(key);
+          ASSERT_NE(it, recorder.evidence().end());
+          EXPECT_EQ(it->second.support, want.support);
+          EXPECT_EQ(it->second.first_witness, want.first_witness);
+          EXPECT_EQ(it->second.last_witness, want.last_witness);
+        }
+
+        EXPECT_EQ(sets.inserted(), want_sets.inserted());
+        ASSERT_EQ(sets.size(), want_sets.size());
+        for (size_t i = 0; i < sets.size(); ++i) {
+          EXPECT_TRUE(std::ranges::equal(sets[i], want_sets[i])) << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(BuildPrecedenceGraphTest, ThresholdFiltersRareEdges) {
