@@ -3,9 +3,11 @@
 #ifndef PROCMINE_BENCH_BENCH_COMMON_H_
 #define PROCMINE_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "log/event_log.h"
 #include "obs/trace.h"
@@ -39,6 +41,15 @@ inline SyntheticWorkload MakeSyntheticWorkload(int32_t vertices,
   PROCMINE_CHECK_OK(log.status());
   w.log = std::move(log).ValueOrDie();
   return w;
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+inline double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n == 0 ? 0.0
+                : (n % 2 == 1 ? values[n / 2]
+                              : (values[n / 2 - 1] + values[n / 2]) / 2.0);
 }
 
 /// Whether to run the abbreviated sweep (PROCMINE_BENCH_QUICK=1): used to

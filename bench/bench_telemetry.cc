@@ -84,14 +84,6 @@ struct Config {
   std::vector<double> cpu_rounds;
 };
 
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const size_t n = values.size();
-  return n == 0 ? 0.0
-                : (n % 2 == 1 ? values[n / 2]
-                              : (values[n / 2 - 1] + values[n / 2]) / 2.0);
-}
-
 }  // namespace
 
 struct SteadyState {

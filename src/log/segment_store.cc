@@ -236,14 +236,19 @@ Status DecodeBlockInto(std::string_view block, ActivityId num_activities,
   return Status::OK();
 }
 
-uint32_t ReadFixed32At(std::string_view bytes, size_t pos) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + 1]))
-             << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + 2]))
-             << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[pos + 3]))
-             << 24;
+/// The fixed32 payload size and crc32c that end a segment file at least
+/// kFooterBytes long.
+struct SegmentFooter {
+  uint32_t payload_size;
+  uint32_t crc;
+};
+
+SegmentFooter ReadFooter(std::string_view bytes) {
+  std::string_view footer = bytes.substr(bytes.size() - kFooterBytes);
+  SegmentFooter out;
+  out.payload_size = GetFixed32(&footer).ValueOrDie();
+  out.crc = GetFixed32(&footer).ValueOrDie();
+  return out;
 }
 
 bool HasSegmentMagic(std::string_view bytes) {
@@ -281,45 +286,27 @@ Status VerifySegmentChecksum(std::string_view bytes) {
   if (!HasSegmentMagic(bytes)) {
     return Status::DataLoss("bad segment magic");
   }
-  const uint32_t payload_size = ReadFixed32At(bytes, bytes.size() - 8);
-  const uint32_t crc = ReadFixed32At(bytes, bytes.size() - 4);
-  if (static_cast<uint64_t>(payload_size) + 4 + kFooterBytes != bytes.size()) {
+  const SegmentFooter footer = ReadFooter(bytes);
+  if (static_cast<uint64_t>(footer.payload_size) + 4 + kFooterBytes !=
+      bytes.size()) {
     return Status::DataLoss(
         StrFormat("segment size mismatch: footer says %u payload bytes, file "
                   "has %zu",
-                  payload_size, bytes.size() - 4 - kFooterBytes));
+                  footer.payload_size, bytes.size() - 4 - kFooterBytes));
   }
-  const uint32_t actual = Crc32c(bytes.substr(4, payload_size));
-  if (actual != crc) {
-    return Status::DataLoss(StrFormat(
-        "segment checksum mismatch: stored %08x, computed %08x", crc, actual));
+  const uint32_t actual = Crc32c(bytes.substr(4, footer.payload_size));
+  if (actual != footer.crc) {
+    return Status::DataLoss(
+        StrFormat("segment checksum mismatch: stored %08x, computed %08x",
+                  footer.crc, actual));
   }
   return Status::OK();
 }
 
 Result<std::vector<Execution>> DecodeSegment(std::string_view bytes,
                                              ActivityId num_activities) {
-  if (bytes.size() < 4 + kFooterBytes) {
-    return Status::DataLoss("segment too short for magic and footer");
-  }
-  if (!HasSegmentMagic(bytes)) {
-    return Status::DataLoss("bad segment magic");
-  }
-  const uint32_t payload_size = ReadFixed32At(bytes, bytes.size() - 8);
-  const uint32_t crc = ReadFixed32At(bytes, bytes.size() - 4);
-  if (static_cast<uint64_t>(payload_size) + 4 + kFooterBytes != bytes.size()) {
-    return Status::DataLoss(
-        StrFormat("segment size mismatch: footer says %u payload bytes, file "
-                  "has %zu",
-                  payload_size, bytes.size() - 4 - kFooterBytes));
-  }
-  const std::string_view payload = bytes.substr(4, payload_size);
-  const uint32_t actual = Crc32c(payload);
-  if (actual != crc) {
-    return Status::DataLoss(StrFormat(
-        "segment checksum mismatch: stored %08x, computed %08x", crc, actual));
-  }
-  std::string_view c = payload;
+  PROCMINE_RETURN_NOT_OK(VerifySegmentChecksum(bytes));
+  std::string_view c = bytes.substr(4, bytes.size() - 4 - kFooterBytes);
   PROCMINE_ASSIGN_OR_RETURN(uint64_t num_blocks, GetVarint64(&c));
   std::vector<Execution> execs;
   for (uint64_t b = 0; b < num_blocks; ++b) {
@@ -346,12 +333,11 @@ SalvageResult SalvageSegment(std::string_view bytes,
   bool size_complete = false;
   bool crc_ok = false;
   if (bytes.size() >= 4 + kFooterBytes) {
-    const uint32_t payload_size = ReadFixed32At(bytes, bytes.size() - 8);
-    const uint32_t crc = ReadFixed32At(bytes, bytes.size() - 4);
-    if (static_cast<uint64_t>(payload_size) + 4 + kFooterBytes ==
+    const SegmentFooter footer = ReadFooter(bytes);
+    if (static_cast<uint64_t>(footer.payload_size) + 4 + kFooterBytes ==
         bytes.size()) {
       size_complete = true;
-      crc_ok = Crc32c(bytes.substr(4, payload_size)) == crc;
+      crc_ok = Crc32c(bytes.substr(4, footer.payload_size)) == footer.crc;
     }
   }
   const std::string_view body =
@@ -501,7 +487,7 @@ Status SegmentedLogWriter::Seal() {
   info.executions = static_cast<int64_t>(pending_.size());
   info.events = pending_events_;
   info.disk_bytes = static_cast<int64_t>(bytes.size());
-  info.crc32c = ReadFixed32At(bytes, bytes.size() - 4);
+  info.crc32c = ReadFooter(bytes).crc;
   PROCMINE_RETURN_NOT_OK(WriteFileAtomic(dir_ + "/" + info.file, bytes));
   static obs::Counter* sealed =
       obs::MetricsRegistry::Get().GetCounter("segment.sealed");

@@ -20,9 +20,9 @@ struct CommandResult {
   std::string output;  // stdout + stderr
 };
 
-CommandResult RunCli(const std::string& args) {
-  std::string command = std::string(PROCMINE_CLI_PATH) + " " + args + " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
+/// Runs a shell command line, capturing stdout + stderr.
+CommandResult RunShell(const std::string& command) {
+  FILE* pipe = popen((command + " 2>&1").c_str(), "r");
   EXPECT_NE(pipe, nullptr);
   std::string output;
   std::array<char, 4096> buffer;
@@ -34,21 +34,15 @@ CommandResult RunCli(const std::string& args) {
   return {WEXITSTATUS(status), output};
 }
 
+CommandResult RunCli(const std::string& args) {
+  return RunShell(std::string(PROCMINE_CLI_PATH) + " " + args);
+}
+
 /// Like RunCli but with environment assignments (e.g. failpoint injections)
 /// prefixed onto the command.
 CommandResult RunCliEnv(const std::string& env, const std::string& args) {
-  std::string command = "env " + env + " " + std::string(PROCMINE_CLI_PATH) +
-                        " " + args + " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  EXPECT_NE(pipe, nullptr);
-  std::string output;
-  std::array<char, 4096> buffer;
-  size_t n;
-  while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
-    output.append(buffer.data(), n);
-  }
-  int status = pclose(pipe);
-  return {WEXITSTATUS(status), output};
+  return RunShell("env " + env + " " + std::string(PROCMINE_CLI_PATH) + " " +
+                  args);
 }
 
 class CliTest : public ::testing::Test {
@@ -252,6 +246,40 @@ TEST_F(CliTest, MissingFileReportsIOError) {
   CommandResult result = RunCli("stats /nonexistent/file.log");
   EXPECT_EQ(result.exit_code, 3);  // data error in the exit-code taxonomy
   EXPECT_NE(result.output.find("IO error"), std::string::npos);
+}
+
+TEST_F(CliTest, MalformedThreadsIsADataError) {
+  CommandResult result = RunCli("stats " + log_path_ + " --threads=abc");
+  EXPECT_EQ(result.exit_code, 3) << result.output;
+  EXPECT_NE(result.output.find("--threads"), std::string::npos)
+      << result.output;
+}
+
+TEST_F(CliTest, ServeRejectsMalformedFlagsBeforeBinding) {
+  // A server that accepted the flag would serve until the timeout kills it.
+  const std::string socket = dir_ + "/serve.sock";
+  for (const std::string flag : {"--threads=abc", "--queue-batches=abc"}) {
+    CommandResult result =
+        RunShell("timeout 10 " + std::string(PROCMINE_CLI_PATH) +
+                 " serve --socket=" + socket + " " + flag);
+    EXPECT_EQ(result.exit_code, 3) << flag << ": " << result.output;
+    EXPECT_NE(result.output.find(flag.substr(0, flag.find('='))),
+              std::string::npos)
+        << result.output;
+    EXPECT_NE(access(socket.c_str(), F_OK), 0) << flag << " bound " << socket;
+  }
+}
+
+TEST_F(CliTest, DotToUnwritablePathIsADataError) {
+  const std::string dot = " --dot=" + dir_ + "/missing/model.dot ";
+  for (const std::string command : {"mine --conditions", "mine", "perf"}) {
+    CommandResult result = RunCli(command + dot + log_path_);
+    EXPECT_EQ(result.exit_code, 3) << command << ": " << result.output;
+  }
+  CommandResult synth =
+      RunCli("synth --activities=5 --executions=10 --out=" + dir_ +
+             "/truth.log --truth-dot=" + dir_ + "/missing/truth.dot");
+  EXPECT_EQ(synth.exit_code, 3) << synth.output;
 }
 
 // ---------------------------------------------------------------------------
@@ -866,6 +894,28 @@ TEST_F(StoreCliTest, SpillAgreesWithMineOnSwappedEndLines) {
                             "p2 B START 2\np2 B END 3\n");
 }
 
+TEST_F(StoreCliTest, SpillQuarantineMatchesDirectMine) {
+  // The sidecar of a spill holds what the spill's scan rejected, the same
+  // records `mine <log>` quarantines.
+  const std::string log = dir_ + "/hostile_spill.log";
+  {
+    std::ofstream out(log, std::ios::binary);
+    out << "g A START 0\ng A END 1\njunk\ng B START 2\ng B END 3\n"
+           "h A START 0\nh A END 1\nh B START 5\n";
+  }
+  const std::string flags = "mine --recovery=quarantine --quarantine-out=";
+  CommandResult direct = RunCli(flags + dir_ + "/q_direct.txt " + log);
+  ASSERT_EQ(direct.exit_code, 0) << direct.output;
+  const std::string spill = dir_ + "/q_spill_store";
+  ASSERT_EQ(std::system(("rm -rf " + spill).c_str()), 0);
+  CommandResult spilled = RunCli(flags + dir_ + "/q_spill.txt --spill-dir=" +
+                                 spill + " " + log);
+  ASSERT_EQ(spilled.exit_code, 0) << spilled.output;
+  const std::string expected = ReadFileOrEmpty(dir_ + "/q_direct.txt");
+  EXPECT_NE(expected.find("short_line"), std::string::npos) << expected;
+  EXPECT_EQ(ReadFileOrEmpty(dir_ + "/q_spill.txt"), expected);
+}
+
 TEST_F(StoreCliTest, FailedSpillRemovesOnlyTheDirectoryItCreated) {
   const std::string bad = dir_ + "/bad.log";
   {
@@ -924,6 +974,22 @@ TEST_F(StoreCliTest, MineStoreRejectsWholeLogFeatures) {
   EXPECT_NE(report.exit_code, 0);
   EXPECT_NE(report.output.find("whole log in memory"), std::string::npos)
       << report.output;
+
+  // A spill source is refused the same way, before it writes a store.
+  const std::string spill = dir_ + "/refused_spill";
+  ASSERT_EQ(std::system(("rm -rf " + spill).c_str()), 0);
+  for (const auto& [flag, exit_code] :
+       {std::pair<std::string, int>{"--report-out=" + dir_ + "/r.json", 2},
+        std::pair<std::string, int>{"--threshold=auto", 3}}) {
+    CommandResult refused =
+        RunCli("mine --spill-dir=" + spill + " " + flag + " " + log_path_);
+    EXPECT_EQ(refused.exit_code, exit_code) << flag << ": " << refused.output;
+    EXPECT_NE(refused.output.find("whole log in memory"), std::string::npos)
+        << refused.output;
+    EXPECT_EQ(refused.output.find("spilled"), std::string::npos)
+        << refused.output;
+    EXPECT_NE(access(spill.c_str(), F_OK), 0) << flag << " created " << spill;
+  }
 }
 
 TEST_F(StoreCliTest, SynthStreamRequiresSizeFlag) {
