@@ -11,8 +11,9 @@
 //  * Closure / reduce: wall time of ReachabilityMatrix and
 //    TransitiveReduction (flat BitMatrix + kernels + panel blocking) against
 //    local copies of the seed implementations (std::vector<DynamicBitset>
-//    rows, per-element loops) on the same random DAGs, plus the arena-scratch
-//    InducedReducer against InducedSubgraph + TransitiveReduction.
+//    rows, per-element loops) on the same random DAGs, plus the general-DAG
+//    miner's rank-space steps 5-6 (ReduceActivitySets) against
+//    InducedSubgraph + TransitiveReduction per set.
 //
 // As a ctest gate (PROCMINE_BENCH_QUICK=1) it shrinks the reps and FAILS if
 // any unrolled kernel falls below its seed-style baseline (with a 0.8 noise
@@ -27,11 +28,14 @@
 #include <vector>
 
 #include "../tests/dynamic_bitset.h"
+#include "../tests/reduce_every_execution.h"
 #include "bench_common.h"
 #include "graph/algorithms.h"
 #include "graph/digraph.h"
 #include "graph/transitive_reduction.h"
+#include "mine/general_dag_miner.h"
 #include "util/bit_matrix.h"
+#include "util/id_set_table.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -338,8 +342,10 @@ int main() {
     macros.push_back(r);
   }
   {
-    // Induced reduction, the general-DAG miner's per-execution workload:
-    // random 40%-subsets reduced against the host DAG.
+    // Induced reduction, the general-DAG miner's steps 5-6: random
+    // 40%-subsets reduced against the host DAG. The seed reduces each
+    // subset's InducedSubgraph; the kernel is ReduceActivitySets, which
+    // also unions the kept edges.
     MacroResult r{"induced_reduce", 0, 0, 0};
     const int kSubsets = 64;
     Rng subset_rng(9);
@@ -359,17 +365,19 @@ int main() {
       }
       g_sink = total;
     });
+    IdSetTable table;
+    for (const auto& subset : subsets) table.Insert(subset);
     r.new_seconds = BestSeconds(kMacroReps, [&] {
-      InducedReducer reducer(dag);
-      std::vector<Edge> out;
-      uint64_t total = 0;
-      for (const auto& subset : subsets) {
-        PROCMINE_CHECK_OK(reducer.Reduce(subset, &out));
-        total += out.size();
-      }
-      g_sink = total;
+      auto kept = mine_internal::ReduceActivitySets(dag, table, nullptr, 0,
+                                                    nullptr, nullptr);
+      PROCMINE_CHECK_OK(kept.status());
+      g_sink = static_cast<uint64_t>(kept->num_edges());
     });
     r.speedup = r.seed_seconds / r.new_seconds;
+    // Same answer, or the comparison is meaningless.
+    PROCMINE_CHECK(ReduceEverySet(dag, subsets) ==
+                   *mine_internal::ReduceActivitySets(dag, table, nullptr, 0,
+                                                      nullptr, nullptr));
     macros.push_back(r);
   }
 

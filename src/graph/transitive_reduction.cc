@@ -101,142 +101,4 @@ Result<DirectedGraph> TransitiveReductionNaive(const DirectedGraph& g) {
   return reduced;
 }
 
-InducedReducer::InducedReducer(const DirectedGraph& g)
-    : g_(g), compact_(static_cast<size_t>(g.num_nodes()), -1) {}
-
-Status InducedReducer::Reduce(const std::vector<NodeId>& present,
-                              std::vector<Edge>* out) {
-  out->clear();
-  const size_t p = present.size();
-  if (p == 0) return Status::OK();
-  arena_.Reset();
-
-  // Host id -> compact index. present is sorted, so compact order == host
-  // id order and emitting ascending compact pairs yields (from, to)-sorted
-  // host edges after the final sort.
-  for (size_t i = 0; i < p; ++i) {
-    const NodeId v = present[i];
-    PROCMINE_DCHECK(v >= 0 && v < g_.num_nodes());
-    PROCMINE_DCHECK(i == 0 || present[i - 1] < v);  // sorted, no duplicates
-    compact_[static_cast<size_t>(v)] = static_cast<int32_t>(i);
-  }
-  // Entries are un-touched on every exit path below.
-  auto untouch = [&] {
-    for (NodeId v : present) compact_[static_cast<size_t>(v)] = -1;
-  };
-
-  // Compact CSR of the induced subgraph: adjacency restricted to `present`,
-  // original adjacency order preserved.
-  int32_t* offsets = arena_.AllocateArray<int32_t>(p + 1);
-  int32_t* indegree = arena_.AllocateArray<int32_t>(p);
-  for (size_t i = 0; i < p; ++i) {
-    offsets[i] = 0;
-    indegree[i] = 0;
-  }
-  size_t num_edges = 0;
-  for (size_t i = 0; i < p; ++i) {
-    int32_t deg = 0;
-    for (NodeId u : g_.OutNeighbors(present[i])) {
-      const int32_t cu = compact_[static_cast<size_t>(u)];
-      if (cu < 0) continue;
-      ++deg;
-      ++indegree[cu];
-    }
-    offsets[i] = deg;
-    num_edges += static_cast<size_t>(deg);
-  }
-  // Prefix-sum in place: offsets[i] becomes the start of i's successor run.
-  int32_t running = 0;
-  for (size_t i = 0; i <= p; ++i) {
-    const int32_t deg = i < p ? offsets[i] : 0;
-    offsets[i] = running;
-    running += deg;
-  }
-  int32_t* succ = arena_.AllocateArray<int32_t>(num_edges);
-  {
-    int32_t* fill = arena_.AllocateArray<int32_t>(p);
-    for (size_t i = 0; i < p; ++i) fill[i] = offsets[i];
-    for (size_t i = 0; i < p; ++i) {
-      for (NodeId u : g_.OutNeighbors(present[i])) {
-        const int32_t cu = compact_[static_cast<size_t>(u)];
-        if (cu >= 0) succ[fill[i]++] = cu;
-      }
-    }
-  }
-
-  // Kahn's algorithm with an arena-resident min-heap on compact id, matching
-  // TopologicalSort's smallest-id-first tie break, so the memoized edge
-  // vectors downstream are a pure function of the activity set.
-  int32_t* heap = arena_.AllocateArray<int32_t>(p);
-  size_t heap_size = 0;
-  auto heap_push = [&](int32_t v) {
-    size_t i = heap_size++;
-    while (i > 0) {
-      const size_t parent = (i - 1) / 2;
-      if (heap[parent] <= v) break;
-      heap[i] = heap[parent];
-      i = parent;
-    }
-    heap[i] = v;
-  };
-  auto heap_pop = [&]() {
-    const int32_t top = heap[0];
-    --heap_size;
-    if (heap_size > 0) {
-      const int32_t last = heap[heap_size];
-      size_t i = 0;
-      for (;;) {
-        size_t child = 2 * i + 1;
-        if (child >= heap_size) break;
-        if (child + 1 < heap_size && heap[child + 1] < heap[child]) ++child;
-        if (heap[child] >= last) break;
-        heap[i] = heap[child];
-        i = child;
-      }
-      heap[i] = last;
-    }
-    return top;
-  };
-
-  int32_t* order = arena_.AllocateArray<int32_t>(p);
-  size_t ordered = 0;
-  for (size_t i = 0; i < p; ++i) {
-    if (indegree[i] == 0) heap_push(static_cast<int32_t>(i));
-  }
-  while (heap_size > 0) {
-    const int32_t v = heap_pop();
-    order[ordered++] = v;
-    for (int32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      if (--indegree[succ[e]] == 0) heap_push(succ[e]);
-    }
-  }
-  if (ordered != p) {
-    untouch();
-    return Status::FailedPrecondition("graph has a cycle");
-  }
-
-  // Algorithm 4 over the compact graph: descendant bitsets are p x p arena
-  // scratch, not n x n.
-  BitMatrix desc(p, p, &arena_);
-  for (size_t k = p; k-- > 0;) {
-    const int32_t v = order[k];
-    BitRow row = desc[static_cast<size_t>(v)];
-    for (int32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      row.OrWith(desc[static_cast<size_t>(succ[e])]);
-    }
-    for (int32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      if (!row.Test(static_cast<size_t>(succ[e]))) {
-        out->push_back(Edge{present[static_cast<size_t>(v)],
-                            present[static_cast<size_t>(succ[e])]});
-      }
-    }
-    for (int32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
-      row.Set(static_cast<size_t>(succ[e]));
-    }
-  }
-  std::sort(out->begin(), out->end());
-  untouch();
-  return Status::OK();
-}
-
 }  // namespace procmine

@@ -13,11 +13,9 @@
 // panels: each panel's slice of every row is unioned while it is still hot,
 // instead of streaming full rows through memory once per vertex.
 //
-// InducedReducer is the batch interface the general-DAG miner uses: it
-// reduces the subgraph induced by an activity subset without materializing a
-// full-size DirectedGraph per execution. All scratch (compact CSR, bitsets,
-// kept-edge flags) comes from a per-reducer Arena that is Reset between
-// calls, so steady-state reductions allocate nothing.
+// The general-DAG miner's steps 5-6 reduce many induced subgraphs of one
+// host DAG; they run the same Algorithm 4 in the host's rank space, without
+// building a graph per subgraph (mine_internal::ReduceActivitySets).
 //
 // A naive O(E*(V+E)) reference implementation is provided for property tests
 // and as the baseline in the micro benchmarks.
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "graph/digraph.h"
-#include "util/arena.h"
 #include "util/result.h"
 
 namespace procmine {
@@ -49,40 +46,6 @@ Result<DirectedGraph> TransitiveReductionBlocked(const DirectedGraph& g,
 /// Reference implementation: an edge (u,v) is kept iff there is no other
 /// path from u to v (Lemma 7 / [AGU72]). Fails on cyclic input.
 Result<DirectedGraph> TransitiveReductionNaive(const DirectedGraph& g);
-
-/// Repeatedly reduces induced subgraphs of one fixed host graph.
-///
-/// The general-DAG miner calls this once per distinct execution: the
-/// subgraph induced by the execution's activity set is transitively reduced
-/// and the surviving edges reported in host-graph ids. Compared to
-/// InducedSubgraph + TransitiveReduction this works in a compact index space
-/// of p = present.size() vertices (not the host's n), and every per-call
-/// allocation is arena scratch reused across calls — for logs with many
-/// small executions over a large activity alphabet this is the difference
-/// between O(p) and O(n) work per execution.
-///
-/// Not thread-safe; each worker keeps its own reducer.
-class InducedReducer {
- public:
-  explicit InducedReducer(const DirectedGraph& g);
-
-  /// Reduces the subgraph of the host induced by `present` and appends the
-  /// kept edges (host ids, sorted by (from, to)) to `*out`, which is
-  /// cleared first. `present` must be sorted ascending with no duplicates.
-  /// Fails with FailedPrecondition("graph has a cycle") on cyclic input.
-  Status Reduce(const std::vector<NodeId>& present, std::vector<Edge>* out);
-
-  /// Scratch watermark across all Reduce calls so far (for benchmarks).
-  size_t scratch_bytes_reserved() const { return arena_.bytes_reserved(); }
-
- private:
-  const DirectedGraph& g_;
-  Arena arena_;
-  /// Host id -> compact index, -1 when absent. Sized to the host's n once;
-  /// entries touched by a call are un-touched at the end of that call, so
-  /// Reduce stays O(p) even though the map is O(n) storage.
-  std::vector<int32_t> compact_;
-};
 
 }  // namespace procmine
 

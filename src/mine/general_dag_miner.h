@@ -47,10 +47,16 @@ Status ValidateNoRepeats(const Execution& exec,
 
 /// Steps 5-6 over the distinct activity sets `sets`: reduce the subgraph of
 /// the post-SCC DAG `dag` induced by each set once, and keep the union of
-/// the surviving edges. The sets are reduced in chunks (one reducer and
-/// one marked set each), and the union is order-independent, so any
-/// partition gives the same graph. The budget is probed every 1024 sets; a
-/// cut records the "general_dag.reduce" degradation and returns `dag`.
+/// the surviving edges. `dag` is ranked topologically once and its
+/// adjacency kept as bit rows in rank space; each set then runs Algorithm 4
+/// over its members' sorted ranks in ceil(p/64)-word rows, in O(p^2) bit
+/// tests plus one row OR per kept edge, whatever the DAG's size. The sets
+/// are reduced in chunks that OR their kept edges into one shared bit
+/// matrix; the union is order-independent, so any partition gives the same
+/// graph, with edges added in ascending (from, to) order. A set's ids may
+/// come in any order. FailedPrecondition when `dag` has a cycle. The budget
+/// is probed every 1024 sets; a cut records the "general_dag.reduce"
+/// degradation and returns `dag`.
 Result<DirectedGraph> ReduceActivitySets(const DirectedGraph& dag,
                                          const IdSetTable& sets,
                                          ThreadPool* pool, size_t chunk_size,

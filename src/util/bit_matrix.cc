@@ -2,8 +2,6 @@
 
 #include <new>
 
-#include "util/arena.h"
-
 namespace procmine {
 
 namespace bits {
@@ -28,47 +26,33 @@ size_t PaddedStride(size_t cols) {
 
 }  // namespace
 
-void BitMatrix::AllocateZeroed(Arena* arena) {
+void BitMatrix::AllocateZeroed() {
   words_per_row_ = (cols_ + 63) / 64;
   stride_ = PaddedStride(cols_);
   size_t total_words = rows_ * stride_;
   if (total_words == 0) {
     data_ = nullptr;
-    owned_ = false;
     return;
   }
-  if (arena != nullptr) {
-    data_ = arena->AllocateArray<uint64_t>(total_words);
-    owned_ = false;
-  } else {
-    data_ = static_cast<uint64_t*>(
-        ::operator new(total_words * 8, std::align_val_t{kAlignment}));
-    owned_ = true;
-  }
+  data_ = static_cast<uint64_t*>(
+      ::operator new(total_words * 8, std::align_val_t{kAlignment}));
   bits::Clear(data_, total_words);
 }
 
 void BitMatrix::ReleaseStorage() {
-  if (owned_ && data_ != nullptr) {
+  if (data_ != nullptr) {
     ::operator delete(data_, std::align_val_t{kAlignment});
   }
   data_ = nullptr;
-  owned_ = false;
 }
 
 BitMatrix::BitMatrix(size_t rows, size_t cols) : rows_(rows), cols_(cols) {
-  AllocateZeroed(nullptr);
-}
-
-BitMatrix::BitMatrix(size_t rows, size_t cols, Arena* arena)
-    : rows_(rows), cols_(cols) {
-  AllocateZeroed(arena);
+  AllocateZeroed();
 }
 
 BitMatrix::BitMatrix(const BitMatrix& other)
     : rows_(other.rows_), cols_(other.cols_) {
-  // Copies are always heap-owned, even when the source is arena scratch.
-  AllocateZeroed(nullptr);
+  AllocateZeroed();
   if (data_ != nullptr) bits::Copy(data_, other.data_, rows_ * stride_);
 }
 
@@ -77,11 +61,9 @@ BitMatrix::BitMatrix(BitMatrix&& other) noexcept
       rows_(other.rows_),
       cols_(other.cols_),
       words_per_row_(other.words_per_row_),
-      stride_(other.stride_),
-      owned_(other.owned_) {
+      stride_(other.stride_) {
   other.data_ = nullptr;
   other.rows_ = other.cols_ = other.words_per_row_ = other.stride_ = 0;
-  other.owned_ = false;
 }
 
 BitMatrix& BitMatrix::operator=(const BitMatrix& other) {
@@ -99,10 +81,8 @@ BitMatrix& BitMatrix::operator=(BitMatrix&& other) noexcept {
   cols_ = other.cols_;
   words_per_row_ = other.words_per_row_;
   stride_ = other.stride_;
-  owned_ = other.owned_;
   other.data_ = nullptr;
   other.rows_ = other.cols_ = other.words_per_row_ = other.stride_ = 0;
-  other.owned_ = false;
   return *this;
 }
 

@@ -40,8 +40,6 @@
 
 namespace procmine {
 
-class Arena;
-
 namespace bits {
 
 /// Name of the compiled kernel dispatch ("avx2" or "scalar-unrolled"); the
@@ -305,8 +303,7 @@ class BitRow {
 
 /// Flat rows x cols bit matrix. Rows are padded to a multiple of 64 bytes so
 /// each row starts cache-line aligned; the whole block is one 64-byte-aligned
-/// allocation (heap-owned, or carved from an Arena for per-execution
-/// scratch). All bits start zero.
+/// allocation. All bits start zero.
 class BitMatrix {
  public:
   static constexpr size_t kAlignment = 64;
@@ -315,9 +312,6 @@ class BitMatrix {
 
   BitMatrix() = default;
   BitMatrix(size_t rows, size_t cols);
-  /// Arena-backed scratch matrix: memory is carved from `arena` and released
-  /// by the arena's Reset(), not by ~BitMatrix. The arena must outlive it.
-  BitMatrix(size_t rows, size_t cols, Arena* arena);
   BitMatrix(const BitMatrix& other);
   BitMatrix(BitMatrix&& other) noexcept;
   BitMatrix& operator=(const BitMatrix& other);
@@ -378,7 +372,7 @@ class BitMatrix {
   friend bool operator==(const BitMatrix& a, const BitMatrix& b);
 
  private:
-  void AllocateZeroed(Arena* arena);
+  void AllocateZeroed();
   void ReleaseStorage();
 
   uint64_t* data_ = nullptr;
@@ -386,7 +380,6 @@ class BitMatrix {
   size_t cols_ = 0;
   size_t words_per_row_ = 0;
   size_t stride_ = 0;
-  bool owned_ = false;  // false: arena-backed or empty
 };
 
 }  // namespace procmine

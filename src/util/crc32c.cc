@@ -1,6 +1,7 @@
 #include "util/crc32c.h"
 
 #include <array>
+#include <cstddef>
 
 namespace procmine {
 
@@ -8,26 +9,54 @@ namespace {
 
 constexpr uint32_t kPolynomial = 0x82f63b78;  // reflected CRC-32C
 
-constexpr std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kTables[0] is the classic byte table, and
+// kTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// lookups advance the CRC by eight bytes at once.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables MakeTables() {
+  Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1) ? kPolynomial : 0);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xff];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kTable = MakeTable();
+constexpr Tables kTables = MakeTables();
+
+// Little-endian 32-bit load from bytes, whatever the host's byte order
+// (compilers fold it into one load where they can).
+inline uint32_t Load32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32c(uint32_t crc, std::string_view data) {
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   crc = ~crc;
-  for (char c : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ static_cast<uint8_t>(c)) & 0xff];
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ Load32(p);
+    const uint32_t hi = Load32(p + 4);
+    crc = kTables[7][lo & 0xff] ^ kTables[6][(lo >> 8) & 0xff] ^
+          kTables[5][(lo >> 16) & 0xff] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xff] ^ kTables[2][(hi >> 8) & 0xff] ^
+          kTables[1][(hi >> 16) & 0xff] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ kTables[0][(crc ^ *p) & 0xff];
   }
   return ~crc;
 }

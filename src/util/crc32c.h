@@ -1,5 +1,6 @@
 // CRC-32C (Castagnoli) checksums, used to detect corruption in the binary
-// log format. Software table-driven implementation.
+// log format. Portable software slicing-by-8: eight table lookups per eight
+// bytes, one per byte for the tail.
 
 #ifndef PROCMINE_UTIL_CRC32C_H_
 #define PROCMINE_UTIL_CRC32C_H_

@@ -4,20 +4,18 @@
 // pitted against the plain one-word-at-a-time DynamicBitset reference on
 // random sizes — including ragged tail words — so both dispatch paths are
 // proven bit-identical to the same oracle. The same strategy covers the
-// blocked transitive reduction and the arena-scratch InducedReducer: each is
-// compared against its naive counterpart on random DAGs.
+// blocked transitive reduction: it is compared against the naive reduction
+// on random DAGs.
 
-#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dynamic_bitset.h"
-#include "graph/algorithms.h"
 #include "graph/digraph.h"
 #include "graph/transitive_reduction.h"
-#include "util/arena.h"
 #include "util/bit_matrix.h"
 #include "util/random.h"
 
@@ -201,24 +199,6 @@ TEST(BitMatrixTest, CopyMoveEquality) {
   EXPECT_TRUE(assigned.Test(1, 1));
 }
 
-TEST(BitMatrixTest, ArenaBackedMatrixBehavesLikeHeapMatrix) {
-  Arena arena;
-  for (int round = 0; round < 3; ++round) {
-    arena.Reset();
-    BitMatrix m(6, 150, &arena);
-    EXPECT_EQ(m.Count(), 0u);  // arena memory must come back zeroed-by-ctor
-    for (size_t r = 0; r < m.rows(); ++r) {
-      EXPECT_EQ(reinterpret_cast<uintptr_t>(m.RowWords(r)) %
-                    BitMatrix::kAlignment,
-                0u);
-      m.Set(r, r * 20);
-    }
-    EXPECT_EQ(m.Count(), 6u);
-    m[0].OrWith(m[5]);
-    EXPECT_TRUE(m.Test(0, 100));
-  }
-}
-
 TEST(BitMatrixTest, EmptyMatrix) {
   BitMatrix m;
   EXPECT_EQ(m.rows(), 0u);
@@ -265,93 +245,6 @@ TEST(BlockedReductionTest, RejectsCycles) {
   g.AddEdge(1, 2);
   g.AddEdge(2, 0);
   EXPECT_FALSE(TransitiveReductionBlocked(g, 1).ok());
-}
-
-// ---------------------------------------------------------------------------
-// InducedReducer vs InducedSubgraph + TransitiveReduction.
-
-std::vector<NodeId> RandomSubset(NodeId n, double keep, Rng* rng) {
-  std::vector<NodeId> subset;
-  for (NodeId v = 0; v < n; ++v) {
-    if (rng->NextDouble() < keep) subset.push_back(v);
-  }
-  return subset;  // ascending by construction
-}
-
-// Edges of the reduced induced subgraph restricted to `present`, sorted.
-std::vector<Edge> ReferenceInducedReduction(const DirectedGraph& g,
-                                            const std::vector<NodeId>& present) {
-  DirectedGraph sub = InducedSubgraph(g, present);
-  auto reduced = TransitiveReduction(sub);
-  EXPECT_TRUE(reduced.ok());
-  return reduced->Edges();  // isolated absentees contribute no edges
-}
-
-TEST(InducedReducerTest, MatchesSubgraphPlusReduction) {
-  Rng rng(31337);
-  const NodeId n = 60;
-  DirectedGraph g = RandomDag(n, 0.2, &rng);
-  InducedReducer reducer(g);
-  std::vector<Edge> got;
-  for (int trial = 0; trial < 40; ++trial) {
-    std::vector<NodeId> present = RandomSubset(n, 0.3, &rng);
-    ASSERT_TRUE(reducer.Reduce(present, &got).ok());
-    EXPECT_EQ(got, ReferenceInducedReduction(g, present)) << "trial " << trial;
-    EXPECT_TRUE(std::is_sorted(got.begin(), got.end(),
-                               [](const Edge& a, const Edge& b) {
-                                 return a.from != b.from ? a.from < b.from
-                                                         : a.to < b.to;
-                               }));
-  }
-}
-
-TEST(InducedReducerTest, ScratchStopsGrowing) {
-  // After the first few calls the arena watermark must plateau: steady-state
-  // reductions reuse the reserved blocks instead of allocating.
-  Rng rng(5);
-  DirectedGraph g = RandomDag(80, 0.2, &rng);
-  InducedReducer reducer(g);
-  std::vector<Edge> out;
-  for (int i = 0; i < 5; ++i) {
-    std::vector<NodeId> present = RandomSubset(80, 0.5, &rng);
-    ASSERT_TRUE(reducer.Reduce(present, &out).ok());
-  }
-  size_t watermark = reducer.scratch_bytes_reserved();
-  for (int i = 0; i < 20; ++i) {
-    std::vector<NodeId> present = RandomSubset(80, 0.5, &rng);
-    ASSERT_TRUE(reducer.Reduce(present, &out).ok());
-  }
-  EXPECT_EQ(reducer.scratch_bytes_reserved(), watermark);
-}
-
-TEST(InducedReducerTest, EmptyAndSingletonSubsets) {
-  DirectedGraph g(4);
-  g.AddEdge(0, 1);
-  InducedReducer reducer(g);
-  std::vector<Edge> out;
-  ASSERT_TRUE(reducer.Reduce({}, &out).ok());
-  EXPECT_TRUE(out.empty());
-  ASSERT_TRUE(reducer.Reduce({2}, &out).ok());
-  EXPECT_TRUE(out.empty());
-  ASSERT_TRUE(reducer.Reduce({0, 1}, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], (Edge{0, 1}));
-}
-
-TEST(InducedReducerTest, DetectsCycleInInducedSubgraph) {
-  DirectedGraph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 0);
-  g.AddEdge(0, 3);
-  InducedReducer reducer(g);
-  std::vector<Edge> out;
-  // The full graph is cyclic...
-  EXPECT_FALSE(reducer.Reduce({0, 1, 2, 3}, &out).ok());
-  // ...but the subgraph induced by {0, 1, 3} is not, and the reducer must
-  // recover cleanly after a failed call.
-  ASSERT_TRUE(reducer.Reduce({0, 1, 3}, &out).ok());
-  EXPECT_EQ(out.size(), 2u);
 }
 
 }  // namespace
