@@ -1,24 +1,16 @@
-// Micro benchmarks for the bits:: word kernels and the closure/reduction
-// algorithms they power, written to BENCH_kernels.json.
+// Micro benchmarks for the closure/reduction algorithms built on the
+// BitMatrix rows, written to BENCH_kernels.json.
 //
-// Two layers:
-//
-//  * Word kernels (OR / AND-NOT / popcount / intersects): GB/s of the
-//    compiled bits:: dispatch (8x unrolled scalar, or AVX2 when built with
-//    -DPROCMINE_SIMD=ON — bits::KernelMode() names which one this binary
-//    carries) against a deliberately seed-style baseline: the plain
-//    one-word-at-a-time loop DynamicBitset used before the kernel layer.
-//  * Closure / reduce: wall time of ReachabilityMatrix and
-//    TransitiveReduction (flat BitMatrix + kernels + panel blocking) against
-//    local copies of the seed implementations (std::vector<DynamicBitset>
-//    rows, per-element loops) on the same random DAGs, plus the general-DAG
-//    miner's rank-space steps 5-6 (ReduceActivitySets) against
-//    InducedSubgraph + TransitiveReduction per set.
+// Wall time of ReachabilityMatrix and TransitiveReduction (packed BitMatrix
+// rows) against local copies of the seed implementations
+// (std::vector<DynamicBitset> rows, per-element loops) on the same random
+// DAGs, plus the general-DAG miner's rank-space steps 5-6
+// (ReduceActivitySets) against InducedSubgraph + TransitiveReduction per
+// set.
 //
 // As a ctest gate (PROCMINE_BENCH_QUICK=1) it shrinks the reps and FAILS if
-// any unrolled kernel falls below its seed-style baseline (with a 0.8 noise
-// margin — the gate catches "the unrolling got pessimized", not scheduler
-// jitter), or if the closure/reduce rewrites come out slower than the seed.
+// the closure/reduce rewrites come out slower than the seed (with a 0.8
+// noise margin).
 
 #include <algorithm>
 #include <cstdint>
@@ -45,35 +37,7 @@ using namespace procmine::bench;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Seed-style baselines. These are intentionally the pre-kernel idiom: one
-// word per iteration, no unrolling, no restrict. Marked noinline so the
-// compiler cannot fuse them with the measurement loop.
-
-__attribute__((noinline)) void SeedOr(uint64_t* dst, const uint64_t* src,
-                                      size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-__attribute__((noinline)) void SeedAndNot(uint64_t* dst, const uint64_t* src,
-                                          size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
-}
-
-__attribute__((noinline)) size_t SeedPopcount(const uint64_t* w, size_t n) {
-  size_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += static_cast<size_t>(__builtin_popcountll(w[i]));
-  }
-  return total;
-}
-
-__attribute__((noinline)) bool SeedIntersects(const uint64_t* a,
-                                              const uint64_t* b, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i] & b[i]) return true;
-  }
-  return false;
-}
+// Seed baselines: the implementations the BitMatrix versions replaced.
 
 // The seed's ReachabilityMatrix: one DynamicBitset per row, element loops.
 std::vector<DynamicBitset> SeedReachability(const DirectedGraph& g) {
@@ -158,13 +122,6 @@ DirectedGraph BenchRandomDag(NodeId n, double density, uint64_t seed) {
 // ---------------------------------------------------------------------------
 // Measurement scaffolding.
 
-struct KernelResult {
-  std::string kernel;
-  double seed_gbps = 0.0;
-  double unrolled_gbps = 0.0;
-  double speedup = 0.0;
-};
-
 struct MacroResult {
   std::string name;
   double seed_seconds = 0.0;
@@ -191,121 +148,8 @@ volatile uint64_t g_sink;  // defeats dead-code elimination
 
 int main() {
   const bool quick = QuickMode();
-  // 32 KiB per operand: resident in L1/L2 so the kernels, not DRAM, are
-  // what's measured. The word count is NOT a multiple of 8, so the unrolled
-  // kernels' tail path is always exercised too.
-  const size_t kWords = 4093;
-  const int kKernelReps = quick ? 200 : 2000;
-  const int kInnerIters = 64;  // per timed rep: amortizes the clock reads
-
-  std::vector<uint64_t> a(kWords), b(kWords), scratch(kWords);
-  Rng rng(12345);
-  for (size_t i = 0; i < kWords; ++i) {
-    a[i] = rng.NextUint64();
-    b[i] = rng.NextUint64();
-  }
-  // Pattern chosen so Intersects scans the whole span instead of
-  // early-exiting: the operands share no bits.
-  std::vector<uint64_t> disjoint(kWords);
-  for (size_t i = 0; i < kWords; ++i) disjoint[i] = ~a[i];
-
-  const double kOpBytes = 2.0 * 8.0 * static_cast<double>(kWords);
-  const double kScanBytes = 8.0 * static_cast<double>(kWords);
-  auto gbps = [&](double bytes_per_iter, double seconds) {
-    return bytes_per_iter * kInnerIters / seconds / 1e9;
-  };
-
-  std::vector<KernelResult> kernels;
-  {
-    KernelResult r{"or", 0, 0, 0};
-    // Bitwise ops are data-oblivious: repeatedly OR-ing into the same
-    // destination costs the same per pass, so no per-rep re-initialization
-    // is needed inside the timed region.
-    scratch = a;
-    double s = BestSeconds(kKernelReps, [&] {
-      for (int i = 0; i < kInnerIters; ++i) {
-        SeedOr(scratch.data(), b.data(), kWords);
-        g_sink = scratch[kWords / 2];
-      }
-    });
-    double u = BestSeconds(kKernelReps, [&] {
-      for (int i = 0; i < kInnerIters; ++i) {
-        bits::Or(scratch.data(), b.data(), kWords);
-        g_sink = scratch[kWords / 2];
-      }
-    });
-    r.seed_gbps = gbps(kOpBytes, s);
-    r.unrolled_gbps = gbps(kOpBytes, u);
-    r.speedup = s / u;
-    kernels.push_back(r);
-  }
-  {
-    KernelResult r{"andnot", 0, 0, 0};
-    scratch = a;
-    double s = BestSeconds(kKernelReps, [&] {
-      for (int i = 0; i < kInnerIters; ++i) {
-        SeedAndNot(scratch.data(), b.data(), kWords);
-        g_sink = scratch[kWords / 2];
-      }
-    });
-    double u = BestSeconds(kKernelReps, [&] {
-      for (int i = 0; i < kInnerIters; ++i) {
-        bits::AndNot(scratch.data(), b.data(), kWords);
-        g_sink = scratch[kWords / 2];
-      }
-    });
-    r.seed_gbps = gbps(kOpBytes, s);
-    r.unrolled_gbps = gbps(kOpBytes, u);
-    r.speedup = s / u;
-    kernels.push_back(r);
-  }
-  {
-    KernelResult r{"popcount", 0, 0, 0};
-    double s = BestSeconds(kKernelReps, [&] {
-      for (int i = 0; i < kInnerIters; ++i) {
-        g_sink = SeedPopcount(a.data(), kWords);
-      }
-    });
-    double u = BestSeconds(kKernelReps, [&] {
-      for (int i = 0; i < kInnerIters; ++i) {
-        g_sink = bits::Popcount(a.data(), kWords);
-      }
-    });
-    r.seed_gbps = gbps(kScanBytes, s);
-    r.unrolled_gbps = gbps(kScanBytes, u);
-    r.speedup = s / u;
-    kernels.push_back(r);
-  }
-  {
-    KernelResult r{"intersects", 0, 0, 0};
-    double s = BestSeconds(kKernelReps, [&] {
-      for (int i = 0; i < kInnerIters; ++i) {
-        g_sink = SeedIntersects(a.data(), disjoint.data(), kWords) ? 1 : 0;
-      }
-    });
-    double u = BestSeconds(kKernelReps, [&] {
-      for (int i = 0; i < kInnerIters; ++i) {
-        g_sink = bits::Intersects(a.data(), disjoint.data(), kWords) ? 1 : 0;
-      }
-    });
-    r.seed_gbps = gbps(kScanBytes, s);
-    r.unrolled_gbps = gbps(kScanBytes, u);
-    r.speedup = s / u;
-    kernels.push_back(r);
-  }
-
-  std::printf("word kernels (%zu words, mode: %s)\n", kWords,
-              bits::KernelMode());
-  std::printf("%-12s %12s %14s %9s\n", "kernel", "seed GB/s", "kernel GB/s",
-              "speedup");
-  for (const KernelResult& r : kernels) {
-    std::printf("%-12s %12.2f %14.2f %8.2fx\n", r.kernel.c_str(), r.seed_gbps,
-                r.unrolled_gbps, r.speedup);
-  }
-
-  // -------------------------------------------------------------------------
   // Closure / reduce macro benchmarks on a Table 1-shaped DAG, scaled up so
-  // the bitset rows span several cache lines.
+  // each bitset row spans several words.
   const NodeId kN = quick ? 192 : 512;
   const int kMacroReps = quick ? 3 : 10;
   DirectedGraph dag = BenchRandomDag(kN, 0.08, /*seed=*/77);
@@ -381,7 +225,7 @@ int main() {
     macros.push_back(r);
   }
 
-  std::printf("\nclosure/reduce (n=%d, density=0.08)\n", kN);
+  std::printf("closure/reduce (n=%d, density=0.08)\n", kN);
   std::printf("%-16s %12s %12s %9s\n", "benchmark", "seed s", "kernel s",
               "speedup");
   for (const MacroResult& r : macros) {
@@ -393,20 +237,7 @@ int main() {
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"bench\": \"kernels\",\n"
-      << "  \"kernel_mode\": \"" << bits::KernelMode() << "\",\n"
-      << "  \"words\": " << kWords << ",\n"
       << "  \"quick_mode\": " << (quick ? "true" : "false") << ",\n"
-      << "  \"kernels\": [\n";
-  for (size_t i = 0; i < kernels.size(); ++i) {
-    const KernelResult& r = kernels[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "    {\"kernel\": \"%s\", \"seed_gbps\": %.3f, "
-                  "\"kernel_gbps\": %.3f, \"speedup\": %.3f}",
-                  r.kernel.c_str(), r.seed_gbps, r.unrolled_gbps, r.speedup);
-    out << line << (i + 1 == kernels.size() ? "" : ",") << "\n";
-  }
-  out << "  ],\n"
       << "  \"closure_reduce\": {\"vertices\": " << kN << ", \"results\": [\n";
   for (size_t i = 0; i < macros.size(); ++i) {
     const MacroResult& r = macros[i];
@@ -422,15 +253,6 @@ int main() {
 
   if (quick) {
     bool failed = false;
-    for (const KernelResult& r : kernels) {
-      if (r.unrolled_gbps < 0.8 * r.seed_gbps) {
-        std::fprintf(stderr,
-                     "FAIL: kernel '%s' regressed below the seed-style loop "
-                     "(%.2f GB/s vs %.2f GB/s)\n",
-                     r.kernel.c_str(), r.unrolled_gbps, r.seed_gbps);
-        failed = true;
-      }
-    }
     for (const MacroResult& r : macros) {
       if (r.new_seconds > r.seed_seconds / 0.8) {
         std::fprintf(stderr,
@@ -441,7 +263,7 @@ int main() {
       }
     }
     if (failed) return 1;
-    std::printf("quick gate: all kernels at or above the seed baseline\n");
+    std::printf("quick gate: all rows at or above the seed baseline\n");
   }
   return 0;
 }

@@ -14,11 +14,14 @@
 # the text front ends: the format fuzz sweeps (garbage into every parser),
 # the ingestion equivalence suite, and the streaming and batch reader
 # tests, since the batch parser and the streaming scan share one pointer
-# line scanner (src/log/text_line.h) and one pairing routine. Run
-# whenever src/log/segment_store, src/log/reader, src/log/text_line,
+# line scanner (src/log/text_line.h) and one pairing routine, and the bit
+# layer: the packed BitMatrix rows and their word loops, plus every suite
+# that indexes them by hand (transitive reduction, reachability, the
+# rank-space steps 5-6 kernel, relations, conformance). Run whenever
+# src/log/segment_store, src/log/reader, src/log/text_line,
 # src/log/streaming_reader, src/log/event_assembly, src/mine/pipeline,
 # src/mine/ooc_miner, src/obs/telemetry, src/serve/, util/id_set_table,
-# or the binary-log salvage path changes.
+# util/bit_matrix, or the binary-log salvage path changes.
 #
 # Usage: scripts/asan-verify.sh [build-dir]   (default: build-asan)
 
@@ -37,7 +40,9 @@ cmake --build "$BUILD_DIR" -j \
            format_fuzz_test budget_test telemetry_test serve_test \
            id_set_table_test miner_test general_dag_miner_test \
            cyclic_miner_test special_dag_miner_test \
-           ingest_equivalence_test streaming_reader_test reader_writer_test
+           ingest_equivalence_test streaming_reader_test reader_writer_test \
+           bit_matrix_test transitive_reduction_test graph_algorithms_test \
+           reduce_activity_sets_test relations_test conformance_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Format(Garbage|RoundTrip|Sizes)|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest|IngestEquivalence|StreamingReader|LogReader|LogWriter'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Format(Garbage|RoundTrip|Sizes)|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest|IngestEquivalence|StreamingReader|LogReader|LogWriter|BitsKernel|BitMatrix|TransitiveReduction|Reachability|ReduceActivitySets|Relations|Conformance'

@@ -5,8 +5,8 @@
 #  * BenchIngestQuick — fails if the zero-copy text path drops below 3x the
 #    legacy reader's events/sec. The ingest equivalence suite runs first, so
 #    a speedup measured on a wrong parse never counts.
-#  * BenchKernelsQuick — fails if the unrolled/SIMD word kernels or the
-#    BitMatrix closure/reduce paths fall below the seed-style baselines.
+#  * BenchKernelsQuick — fails if the BitMatrix closure/reduce paths fall
+#    below the seed implementations they replaced.
 #    The bit_matrix property suite runs first, for the same reason.
 #
 # Usage: scripts/bench-smoke.sh [build-dir]   (default: build)

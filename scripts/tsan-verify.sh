@@ -13,9 +13,11 @@
 # (a background thread snapshotting the registry while counter writers
 # race it), and the streaming server (concurrent submitters multiplexing
 # sessions onto the pump + thread pool, plus the socket front end's
-# connection threads racing a hostile client). Run whenever the parallel
-# pipeline, src/obs/, the ingestion layer, the segment store, or
-# src/serve/ changes.
+# connection threads racing a hostile client), and the rank-space steps
+# 5-6 kernel (chunks OR kept edges into one shared BitMatrix with relaxed
+# atomic_ref ORs). Run whenever the parallel pipeline, src/obs/, the
+# ingestion layer, the segment store, util/bit_matrix, or src/serve/
+# changes.
 #
 # Usage: scripts/tsan-verify.sh [build-dir]   (default: build-tsan)
 
@@ -35,7 +37,7 @@ cmake --build "$BUILD_DIR" -j \
            ingest_equivalence_test mapped_file_test report_test \
            recovery_test failpoint_test budget_test \
            drift_test registry_test segment_store_test telemetry_test \
-           serve_test
+           serve_test reduce_activity_sets_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'Obs|ThreadPool|ParallelDeterminism|IngestEquivalence|MappedFile|RunReport|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Failpoint|RunBudget|MinerBudget|ReportBudget|DriftMonitor|SupportHighWatermark|Registry|SegmentStore|SegmentCodec|OocIdentity|Telemetry|Serve'
+  -R 'Obs|ThreadPool|ParallelDeterminism|IngestEquivalence|MappedFile|RunReport|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Failpoint|RunBudget|MinerBudget|ReportBudget|DriftMonitor|SupportHighWatermark|Registry|SegmentStore|SegmentCodec|OocIdentity|Telemetry|Serve|ReduceActivitySets'

@@ -31,8 +31,7 @@ SccResult StronglyConnectedComponents(const DirectedGraph& g);
 
 /// reach[v].Test(u) == true iff there is a directed path v ->+ u of length
 /// >= 1. (A vertex reaches itself only via a cycle.) O(V*E/64). Returned as
-/// a flat BitMatrix (one 64-byte-aligned allocation, padded rows) so the
-/// per-component row unions run through the word kernels.
+/// a BitMatrix of packed rows, one per vertex.
 BitMatrix ReachabilityMatrix(const DirectedGraph& g);
 
 /// The transitive closure as a graph: edge (u,v) iff a path u ->+ v exists.

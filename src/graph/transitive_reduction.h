@@ -6,12 +6,9 @@
 // a unique transitive reduction [AGU72], which is what Algorithms 1-3 rely
 // on. Runs in O(V*E/64) time and O(V^2/64) space.
 //
-// The descendant sets live in a flat BitMatrix (one 64-byte-aligned
-// allocation, padded rows) so the per-vertex unions run through the unrolled
-// word kernels in util/bit_matrix.h. For graphs whose descendant matrix
-// outgrows cache, TransitiveReductionBlocked sweeps the columns in fixed-size
-// panels: each panel's slice of every row is unioned while it is still hot,
-// instead of streaming full rows through memory once per vertex.
+// The descendant sets are the packed rows of one BitMatrix, and each
+// per-vertex union is one plain word loop (util/bit_matrix.h). On the
+// paper's 10-100-activity graphs a row is one or two words.
 //
 // The general-DAG miner's steps 5-6 reduce many induced subgraphs of one
 // host DAG; they run the same Algorithm 4 in the host's rank space, without
@@ -33,15 +30,6 @@ namespace procmine {
 /// Transitive reduction via Algorithm 4 (bitset descendant sets).
 /// Fails with FailedPrecondition if `g` has a cycle.
 Result<DirectedGraph> TransitiveReduction(const DirectedGraph& g);
-
-/// Cache-blocked variant: processes the descendant matrix in column panels
-/// of `panel_words` 64-bit words (0 selects the default, one 4 KiB page per
-/// panel). Produces the same graph as TransitiveReduction for every panel
-/// width; TransitiveReduction dispatches here automatically once a row
-/// outgrows the panel. Exposed separately so tests and benches can force
-/// small panels on small graphs.
-Result<DirectedGraph> TransitiveReductionBlocked(const DirectedGraph& g,
-                                                 size_t panel_words);
 
 /// Reference implementation: an edge (u,v) is kept iff there is no other
 /// path from u to v (Lemma 7 / [AGU72]). Fails on cyclic input.

@@ -72,12 +72,14 @@ double EstimateNoiseRate(const EventLog& log, double minority_cutoff) {
   std::vector<int64_t> first_start(static_cast<size_t>(n));
   std::vector<int64_t> last_end(static_cast<size_t>(n));
   std::vector<bool> present(static_cast<size_t>(n));
+  std::vector<size_t> touched;
   for (const Execution& exec : log.executions()) {
-    std::fill(present.begin(), present.end(), false);
+    touched.clear();
     for (const ActivityInstance& inst : exec.instances()) {
       size_t a = static_cast<size_t>(inst.activity);
       if (!present[a]) {
         present[a] = true;
+        touched.push_back(a);
         first_start[a] = inst.start;
         last_end[a] = inst.end;
       } else {
@@ -85,16 +87,16 @@ double EstimateNoiseRate(const EventLog& log, double minority_cutoff) {
         last_end[a] = std::max(last_end[a], inst.end);
       }
     }
-    for (ActivityId a = 0; a < n; ++a) {
-      if (!present[static_cast<size_t>(a)]) continue;
-      for (ActivityId b = 0; b < n; ++b) {
-        if (a == b || !present[static_cast<size_t>(b)]) continue;
-        if (last_end[static_cast<size_t>(a)] <
-            first_start[static_cast<size_t>(b)]) {
-          ++ordered[idx(a, b)];
+    // Only pairs of activities present in this execution can be ordered in
+    // it, so the pair loop is O(p^2) in its activity count, not O(p*n).
+    for (size_t a : touched) {
+      for (size_t b : touched) {
+        if (a != b && last_end[a] < first_start[b]) {
+          ++ordered[a * static_cast<size_t>(n) + b];
         }
       }
     }
+    for (size_t a : touched) present[a] = false;
   }
 
   double weighted_minority = 0.0;
@@ -120,12 +122,9 @@ double EstimateNoiseRate(const EventLog& log, double minority_cutoff) {
   return weight == 0.0 ? 0.0 : weighted_minority / weight;
 }
 
-int64_t SuggestNoiseThreshold(const EventLog& log) {
-  double epsilon = EstimateNoiseRate(log);
+int64_t SuggestNoiseThreshold(int64_t m, double epsilon) {
   if (epsilon <= 0.0) return 1;
-  epsilon = std::min(epsilon, 0.499);
-  return OptimalNoiseThreshold(
-      static_cast<int64_t>(log.num_executions()), epsilon);
+  return OptimalNoiseThreshold(m, std::min(epsilon, 0.499));
 }
 
 }  // namespace procmine

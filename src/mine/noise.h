@@ -49,10 +49,11 @@ int64_t OptimalNoiseThreshold(int64_t m, double epsilon);
 /// or empty logs.
 double EstimateNoiseRate(const EventLog& log, double minority_cutoff = 0.2);
 
-/// Convenience: EstimateNoiseRate clamped into OptimalNoiseThreshold's
-/// domain and converted to a threshold for this log's execution count.
-/// Clean logs (estimated epsilon 0) get threshold 1.
-int64_t SuggestNoiseThreshold(const EventLog& log);
+/// Converts an estimated epsilon (EstimateNoiseRate of a log) into a
+/// threshold for that log's m executions: epsilon is clamped into
+/// OptimalNoiseThreshold's domain, and a clean log (epsilon 0) gets
+/// threshold 1.
+int64_t SuggestNoiseThreshold(int64_t m, double epsilon);
 
 }  // namespace procmine
 

@@ -13,9 +13,9 @@ namespace {
 
 // Per-chunk accumulator for the map phase: one n x n bit matrix for
 // co-occurrence and one for "b starts after a terminates" violations.
-// Matrices from different chunks merge by whole-matrix OR — a single flat
-// kernel call, order-independent — so the result is identical for every
-// thread count and chunk size.
+// Matrices from different chunks merge by whole-matrix OR — one word loop,
+// order-independent — so the result is identical for every thread count
+// and chunk size.
 struct RelationShard {
   BitMatrix cooccur;
   BitMatrix violated;
@@ -94,8 +94,8 @@ Relations Relations::Compute(const EventLog& log, ThreadPool* pool,
     }
   }
 
-  // Reduce: OR the chunk matrices together (one flat kernel call per
-  // matrix), then keep = cooccur AND NOT violated.
+  // Reduce: OR the chunk matrices together (one word loop per matrix),
+  // then keep = cooccur AND NOT violated.
   PROCMINE_SPAN("relations.reduce");
   Relations rel;
   rel.followings_ = DirectedGraph(n);

@@ -1,11 +1,7 @@
-// Property tests for the flat BitMatrix and the bits:: word kernels.
+// Property tests for the packed BitMatrix and the bits:: word loops.
 //
-// The kernels (8x unrolled scalar, or AVX2 under -DPROCMINE_SIMD=ON) are
-// pitted against the plain one-word-at-a-time DynamicBitset reference on
-// random sizes — including ragged tail words — so both dispatch paths are
-// proven bit-identical to the same oracle. The same strategy covers the
-// blocked transitive reduction: it is compared against the naive reduction
-// on random DAGs.
+// Row unions, differences and counts are pitted against the plain
+// DynamicBitset reference on random sizes, including ragged tail words.
 
 #include <cstdint>
 #include <utility>
@@ -14,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "dynamic_bitset.h"
-#include "graph/digraph.h"
-#include "graph/transitive_reduction.h"
 #include "util/bit_matrix.h"
 #include "util/random.h"
 
@@ -23,7 +17,7 @@ namespace procmine {
 namespace {
 
 // Bit sizes that exercise every tail-word shape: sub-word, exact word
-// multiples, one-past boundaries, and spans beyond the 8-word unroll.
+// multiples, one-past boundaries, and multi-word spans.
 const size_t kSizes[] = {1,   3,   63,  64,  65,  127, 128, 129,
                          191, 192, 255, 256, 257, 511, 512, 1000};
 
@@ -57,59 +51,24 @@ TEST(BitsKernelTest, MatchDynamicBitsetOnRandomSizes) {
       DynamicBitset ra = RandomBitset(size, 0.3, &rng);
       DynamicBitset rb = RandomBitset(size, 0.3, &rng);
 
-      BitMatrix m(4, size);
+      BitMatrix m(2, size);
       FillRow(ra, &m, 0);  // Or target
-      FillRow(ra, &m, 1);  // And target
-      FillRow(ra, &m, 2);  // AndNot target
+      FillRow(ra, &m, 1);  // AndNot target
       BitMatrix other(1, size);
       FillRow(rb, &other, 0);
 
-      DynamicBitset or_ref = ra, and_ref = ra, andnot_ref = ra;
+      DynamicBitset or_ref = ra, andnot_ref = ra;
       or_ref.OrWith(rb);
-      and_ref.AndWith(rb);
       andnot_ref.AndNotWith(rb);
 
       m[0].OrWith(other[0]);
-      m[1].AndWith(other[0]);
-      m[2].AndNotWith(other[0]);
+      bits::AndNot(m.RowWords(1), other.RowWords(0), m.words_per_row());
 
       EXPECT_TRUE(RowEquals(m[0], or_ref)) << "Or size=" << size;
-      EXPECT_TRUE(RowEquals(m[1], and_ref)) << "And size=" << size;
-      EXPECT_TRUE(RowEquals(m[2], andnot_ref)) << "AndNot size=" << size;
+      EXPECT_TRUE(RowEquals(m[1], andnot_ref)) << "AndNot size=" << size;
 
       EXPECT_EQ(m[0].Count(), or_ref.Count()) << "size=" << size;
-      EXPECT_EQ(m[2].Count(), andnot_ref.Count()) << "size=" << size;
-      EXPECT_EQ(m[3].Intersects(other[0]), DynamicBitset(size).Intersects(rb));
-      BitMatrix a_only(1, size);
-      FillRow(ra, &a_only, 0);
-      EXPECT_EQ(a_only[0].Intersects(other[0]), ra.Intersects(rb))
-          << "Intersects size=" << size;
-      EXPECT_EQ(a_only[0].Any(), ra.Any()) << "Any size=" << size;
-      EXPECT_EQ(a_only[0].None(), ra.None()) << "None size=" << size;
-    }
-  }
-}
-
-TEST(BitsKernelTest, KernelModeIsDeclared) {
-  // Self-description used by the benches; whichever path is compiled in
-  // must name itself.
-#if defined(PROCMINE_SIMD) && defined(__AVX2__)
-  EXPECT_STREQ(bits::KernelMode(), "avx2");
-#else
-  EXPECT_STREQ(bits::KernelMode(), "scalar-unrolled");
-#endif
-}
-
-TEST(BitMatrixTest, RowsAreCacheLineAligned) {
-  for (size_t cols : kSizes) {
-    BitMatrix m(5, cols);
-    EXPECT_EQ(m.row_stride() % BitMatrix::kWordsPerLine, 0u);
-    EXPECT_GE(m.row_stride(), m.words_per_row());
-    for (size_t r = 0; r < m.rows(); ++r) {
-      EXPECT_EQ(reinterpret_cast<uintptr_t>(m.RowWords(r)) %
-                    BitMatrix::kAlignment,
-                0u)
-          << "row " << r << " cols=" << cols;
+      EXPECT_EQ(m[1].Count(), andnot_ref.Count()) << "size=" << size;
     }
   }
 }
@@ -162,8 +121,8 @@ TEST(BitMatrixTest, WholeMatrixOrAndNotMatchPerBitReference) {
 }
 
 TEST(BitMatrixTest, PaddingBitsStayZero) {
-  // cols=70 leaves 54 phantom bits in word 1 plus 6 padding words per row;
-  // none of them may ever become visible through Count().
+  // cols=70 leaves 58 phantom bits in each row's second word; none of them
+  // may ever become visible through Count().
   BitMatrix a(4, 70), b(4, 70);
   for (size_t r = 0; r < 4; ++r) {
     for (size_t c = 0; c < 70; ++c) {
@@ -206,45 +165,6 @@ TEST(BitMatrixTest, EmptyMatrix) {
   EXPECT_EQ(m.Count(), 0u);
   BitMatrix copy = m;
   EXPECT_TRUE(copy == m);
-}
-
-// ---------------------------------------------------------------------------
-// Blocked transitive reduction vs the naive reference.
-
-DirectedGraph RandomDag(NodeId n, double density, Rng* rng) {
-  DirectedGraph g(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      if (rng->NextDouble() < density) g.AddEdge(u, v);
-    }
-  }
-  return g;
-}
-
-TEST(BlockedReductionTest, AnyPanelWidthMatchesNaive) {
-  Rng rng(99);
-  for (NodeId n : {5, 30, 70, 140}) {
-    DirectedGraph g = RandomDag(n, 0.15, &rng);
-    auto naive = TransitiveReductionNaive(g);
-    ASSERT_TRUE(naive.ok());
-    for (size_t panel_words : {size_t{0}, size_t{1}, size_t{2}, size_t{64}}) {
-      auto blocked = TransitiveReductionBlocked(g, panel_words);
-      ASSERT_TRUE(blocked.ok());
-      EXPECT_TRUE(*blocked == *naive)
-          << "n=" << n << " panel_words=" << panel_words;
-    }
-    auto unblocked = TransitiveReduction(g);
-    ASSERT_TRUE(unblocked.ok());
-    EXPECT_TRUE(*unblocked == *naive) << "n=" << n;
-  }
-}
-
-TEST(BlockedReductionTest, RejectsCycles) {
-  DirectedGraph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(2, 0);
-  EXPECT_FALSE(TransitiveReductionBlocked(g, 1).ok());
 }
 
 }  // namespace

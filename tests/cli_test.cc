@@ -310,6 +310,33 @@ std::string MemoCounterLines(const std::string& json) {
 const char* kOrderLog = PROCMINE_EXAMPLES_DIR "/logs/order_fulfillment.log";
 const char* kLoanLog = PROCMINE_EXAMPLES_DIR "/logs/loan_review.log";
 
+// The Section 6 estimate on the 12-execution example log, pinned to the
+// exact printed lines.
+TEST_F(CliTest, NoisePrintsEpsilonAndThreshold) {
+  CommandResult result = RunCli("noise " + std::string(kOrderLog));
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_EQ(result.output,
+            "estimated out-of-order rate (epsilon): 0.0833\n"
+            "suggested threshold T for m=12 executions: 3\n");
+}
+
+TEST_F(CliTest, MineAutoThresholdEstimatesEpsilonOnce) {
+  std::string trace_path = dir_ + "/auto_trace.json";
+  CommandResult result = RunCli("mine --threshold=auto --trace-out=" +
+                                trace_path + " " + std::string(kOrderLog));
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("estimated noise rate 0.0833 -> threshold 3\n"),
+            std::string::npos)
+      << result.output;
+  std::string trace = ReadFileOrEmpty(trace_path);
+  size_t spans = 0;
+  for (size_t at = trace.find("\"noise.estimate\""); at != std::string::npos;
+       at = trace.find("\"noise.estimate\"", at + 1)) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, 1u) << trace;
+}
+
 TEST_F(CliTest, MineReportOutEmitsProvenanceJson) {
   std::string report_path = dir_ + "/report.json";
   CommandResult result =

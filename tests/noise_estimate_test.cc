@@ -54,7 +54,7 @@ TEST(EstimateNoiseRateTest, MinorityCutoffControlsAttribution) {
 }
 
 TEST(SuggestNoiseThresholdTest, CleanLogSuggestsOne) {
-  EXPECT_EQ(SuggestNoiseThreshold(ChainLog(50)), 1);
+  EXPECT_EQ(SuggestNoiseThreshold(50, EstimateNoiseRate(ChainLog(50))), 1);
 }
 
 TEST(SuggestNoiseThresholdTest, NoisyLogSuggestsUsableThreshold) {
@@ -62,7 +62,8 @@ TEST(SuggestNoiseThresholdTest, NoisyLogSuggestsUsableThreshold) {
   noise.swap_rate = 0.05;
   noise.seed = 23;
   EventLog noisy = InjectNoise(ChainLog(500), noise);
-  int64_t threshold = SuggestNoiseThreshold(noisy);
+  int64_t threshold = SuggestNoiseThreshold(
+      static_cast<int64_t>(noisy.num_executions()), EstimateNoiseRate(noisy));
   EXPECT_GT(threshold, 1);
   EXPECT_LT(threshold, 500);
 

@@ -104,7 +104,7 @@ TEST_P(TransitiveReductionPropertyTest, MatchesNaiveReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TransitiveReductionPropertyTest,
-    ::testing::Combine(::testing::Values(2, 5, 10, 20),
+    ::testing::Combine(::testing::Values(2, 5, 10, 20, 64, 65, 70, 140),
                        ::testing::Values(0.1, 0.3, 0.6, 0.9)));
 
 // Uniqueness: reducing twice is a fixpoint.

@@ -380,10 +380,11 @@ Result<MinerOptions> MinerOptionsFromArgs(const Args& args) {
 void AutoThreshold(const Args& args, const EventLog& log,
                    MinerOptions* options) {
   if (args.Get("threshold") != "auto") return;
-  options->noise_threshold = SuggestNoiseThreshold(log);
+  const double epsilon = EstimateNoiseRate(log);
+  options->noise_threshold = SuggestNoiseThreshold(
+      static_cast<int64_t>(log.num_executions()), epsilon);
   std::fprintf(stderr, "estimated noise rate %.4f -> threshold %lld\n",
-               EstimateNoiseRate(log),
-               static_cast<long long>(options->noise_threshold));
+               epsilon, static_cast<long long>(options->noise_threshold));
 }
 
 /// Parses --sweep=T1,T2,... into RunReportOptions::sweep.
@@ -1106,11 +1107,12 @@ Result<int> CommandNoise(const Args& args) {
   if (args.positional.empty()) return Usage("noise");
   PROCMINE_ASSIGN_OR_RETURN(EventLog log,
                             ReadLogAuto(args.positional[0], args));
-  double epsilon = EstimateNoiseRate(log);
+  const double epsilon = EstimateNoiseRate(log);
+  const int64_t threshold = SuggestNoiseThreshold(
+      static_cast<int64_t>(log.num_executions()), epsilon);
   std::printf("estimated out-of-order rate (epsilon): %.4f\n", epsilon);
   std::printf("suggested threshold T for m=%zu executions: %lld\n",
-              log.num_executions(),
-              static_cast<long long>(SuggestNoiseThreshold(log)));
+              log.num_executions(), static_cast<long long>(threshold));
   return kExitOk;
 }
 
