@@ -140,6 +140,7 @@ Result<bool> InstancePairer::Pair(std::string_view instance_name,
                     return a.start < b.start;
                   });
   *exec = Execution(std::string(instance_name));
+  exec->Reserve(instances_.size());
   for (ActivityInstance& inst : instances_) exec->Append(std::move(inst));
   return true;
 }
@@ -171,13 +172,17 @@ Result<EventLog> AssembleEventLog(const CompactEventBatch& batch,
   }
 
   // Instances are emitted in name order; ties cannot occur since names are
-  // interned uniquely.
+  // interned uniquely. A log written execution by execution in name order
+  // interns its instances in that order already, and the check is one pass.
   std::vector<int32_t> by_name(num_instances);
   std::iota(by_name.begin(), by_name.end(), 0);
-  std::sort(by_name.begin(), by_name.end(), [&](int32_t a, int32_t b) {
+  const auto name_less = [&](int32_t a, int32_t b) {
     return batch.instance_names[static_cast<size_t>(a)] <
            batch.instance_names[static_cast<size_t>(b)];
-  });
+  };
+  if (!std::is_sorted(by_name.begin(), by_name.end(), name_less)) {
+    std::sort(by_name.begin(), by_name.end(), name_less);
+  }
 
   EventLog log;
   InstancePairer pairer(&batch, &log.dictionary());

@@ -11,7 +11,8 @@
 // errors, the same way.
 //
 // The name tables are string_views borrowed from the caller (raw Event
-// structs or a mapped file); they must stay alive across the call.
+// structs or a mapped file); they must stay alive across the call. Front
+// ends fill them through a NameIndex (log/name_index.h).
 // Activity names are copied into the target ActivityDictionary.
 
 #ifndef PROCMINE_LOG_EVENT_ASSEMBLY_H_
@@ -19,7 +20,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "log/event.h"
@@ -30,7 +30,8 @@
 namespace procmine {
 
 /// One parsed event with every string replaced by a table index and outputs
-/// referenced in a shared pool. 24 bytes instead of two heap strings.
+/// referenced in a shared pool: 32 bytes (the int64 timestamp aligns the
+/// record) instead of two heap strings and an output vector.
 struct CompactEvent {
   int32_t instance = -1;      ///< index into CompactEventBatch::instance_names
   int32_t activity = -1;      ///< index into CompactEventBatch::activity_names
@@ -39,6 +40,7 @@ struct CompactEvent {
   uint32_t output_begin = 0;  ///< first output value in the pool
   uint32_t output_count = 0;
 };
+static_assert(sizeof(CompactEvent) == 32);
 
 /// A batch of compact events in log order, with borrowed name tables.
 struct CompactEventBatch {
@@ -47,17 +49,6 @@ struct CompactEventBatch {
   std::vector<CompactEvent> events;              ///< original log order
   std::vector<int64_t> outputs;                  ///< shared output-value pool
 };
-
-/// Returns the index of `name` in a borrowed name table, appending it on
-/// first sight; `ids` is the table's reverse index.
-inline int32_t InternName(std::unordered_map<std::string_view, int32_t>* ids,
-                          std::vector<std::string_view>* names,
-                          std::string_view name) {
-  auto [it, inserted] =
-      ids->emplace(name, static_cast<int32_t>(names->size()));
-  if (inserted) names->push_back(name);
-  return it->second;
-}
 
 /// How pairing treats executions whose events do not pair (see
 /// InstancePairer::Pair); `report` may be null.

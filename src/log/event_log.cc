@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <string_view>
-#include <unordered_map>
 
 #include "log/event_assembly.h"
+#include "log/name_index.h"
 #include "util/strings.h"
 
 namespace procmine {
@@ -41,15 +41,12 @@ Result<EventLog> EventLog::FromEvents(const std::vector<Event>& events) {
   // canonical assembly pass shared with the zero-copy file parser.
   CompactEventBatch batch;
   batch.events.reserve(events.size());
-  std::unordered_map<std::string_view, int32_t> instance_ids;
-  std::unordered_map<std::string_view, int32_t> activity_ids;
-  instance_ids.reserve(events.size());
+  NameIndex instance_ids(&batch.instance_names);
+  NameIndex activity_ids(&batch.activity_names);
   for (const Event& e : events) {
     CompactEvent compact;
-    compact.instance = InternName(&instance_ids, &batch.instance_names,
-                                  e.process_instance);
-    compact.activity =
-        InternName(&activity_ids, &batch.activity_names, e.activity);
+    compact.instance = instance_ids.Intern(e.process_instance);
+    compact.activity = activity_ids.Intern(e.activity);
     compact.type = e.type;
     compact.timestamp = e.timestamp;
     compact.output_begin = static_cast<uint32_t>(batch.outputs.size());

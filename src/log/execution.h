@@ -42,6 +42,8 @@ class Execution {
   /// Appends an instance. Instances must be appended in start-time order;
   /// enforced with a check.
   void Append(ActivityInstance instance);
+  /// Makes room for `n` instances, so `n` Appends allocate nothing.
+  void Reserve(size_t n) { instances_.reserve(n); }
 
   size_t size() const { return instances_.size(); }
   bool empty() const { return instances_.empty(); }

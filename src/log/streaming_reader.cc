@@ -2,10 +2,9 @@
 
 #include <cstring>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "log/event_assembly.h"
+#include "log/name_index.h"
 #include "log/text_line.h"
 #include "obs/trace.h"
 #include "util/mapped_file.h"
@@ -29,7 +28,7 @@ class StreamScan {
         pairer_(&batch_, &dict_) {
     if (options.report != nullptr) options.report->policy = options.recovery;
   }
-  // pairer_ points into this object.
+  // pairer_ and the name indexes point into this object.
   StreamScan(const StreamScan&) = delete;
   StreamScan& operator=(const StreamScan&) = delete;
 
@@ -60,7 +59,7 @@ class StreamScan {
           break;
       }
       if (!open_ || instance != current_) {
-        if (finished_.count(instance) > 0) {
+        if (finished_.Find(instance) >= 0) {
           batch_.outputs.resize(event.output_begin);
           PROCMINE_RETURN_NOT_OK(SkipOrFail(
               "non_contiguous_instance",
@@ -78,8 +77,7 @@ class StreamScan {
         current_ = instance;
         open_ = true;
       }
-      event.activity =
-          InternName(&activity_ids_, &batch_.activity_names, activity);
+      event.activity = activity_ids_.Intern(activity);
       batch_.events.push_back(event);
       ++stats_.events;
       if (recovery_.report != nullptr) ++recovery_.report->events_parsed;
@@ -114,7 +112,7 @@ class StreamScan {
   Status FinishCurrent() {
     if (!open_) return Status::OK();
     open_ = false;
-    finished_.insert(current_);
+    finished_.Intern(current_);
     order_.resize(batch_.events.size());
     std::iota(order_.begin(), order_.end(), 0);
     Execution exec;
@@ -132,12 +130,15 @@ class StreamScan {
   StreamingStats stats_;
   ActivityDictionary dict_;
   CompactEventBatch batch_;
-  std::unordered_map<std::string_view, int32_t> activity_ids_;
+  NameIndex activity_ids_{&batch_.activity_names};
   InstancePairer pairer_;
   std::vector<uint32_t> order_;
   std::string_view current_;  // the open instance, when open_
   bool open_ = false;
-  std::unordered_set<std::string_view> finished_;
+  // The instances already paired; a later line naming one of them is a
+  // non-contiguous instance.
+  std::vector<std::string_view> finished_names_;
+  NameIndex finished_{&finished_names_};
 };
 
 }  // namespace

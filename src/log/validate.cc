@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <numeric>
 #include <string_view>
-#include <unordered_map>
 
+#include "log/name_index.h"
 #include "util/strings.h"
 
 namespace procmine {
@@ -27,22 +27,19 @@ std::string ToString(LogIssue::Kind kind) {
 
 std::vector<LogIssue> ValidateEvents(const std::vector<Event>& events) {
   std::vector<LogIssue> issues;
-  // Intern instance names (heterogeneous string_view lookup, no key copies)
-  // and track unmatched-START counts per (instance, activity). Activities
-  // per instance are few, so a first-seen-ordered vector beats a nested
-  // hash map and keeps the report deterministic.
-  struct InstanceState {
-    std::string_view name;
-    std::vector<std::pair<std::string_view, int64_t>> counts;
-  };
-  std::unordered_map<std::string_view, size_t> instance_ids;
-  std::vector<InstanceState> instances;
-  instance_ids.reserve(events.size() / 4 + 1);
+  // Intern instance names (string_view keys, no copies) and track
+  // unmatched-START counts per (instance, activity). Activities per instance
+  // are few, so a first-seen-ordered vector beats a nested hash map and
+  // keeps the report deterministic.
+  using ActivityCounts = std::vector<std::pair<std::string_view, int64_t>>;
+  std::vector<std::string_view> names;
+  NameIndex instance_ids(&names);
+  std::vector<ActivityCounts> instances;  // by instance id
   for (const Event& e : events) {
-    auto [it, inserted] = instance_ids.emplace(e.process_instance,
-                                               instances.size());
-    if (inserted) instances.push_back({e.process_instance, {}});
-    auto& counts = instances[it->second].counts;
+    const size_t id =
+        static_cast<size_t>(instance_ids.Intern(e.process_instance));
+    if (id == instances.size()) instances.emplace_back();
+    ActivityCounts& counts = instances[id];
     auto slot = std::find_if(counts.begin(), counts.end(), [&](const auto& c) {
       return c.first == e.activity;
     });
@@ -63,14 +60,13 @@ std::vector<LogIssue> ValidateEvents(const std::vector<Event>& events) {
   // order within each instance).
   std::vector<size_t> by_name(instances.size());
   std::iota(by_name.begin(), by_name.end(), 0);
-  std::sort(by_name.begin(), by_name.end(), [&](size_t a, size_t b) {
-    return instances[a].name < instances[b].name;
-  });
+  std::sort(by_name.begin(), by_name.end(),
+            [&](size_t a, size_t b) { return names[a] < names[b]; });
   for (size_t i : by_name) {
-    for (const auto& [activity, n] : instances[i].counts) {
+    for (const auto& [activity, n] : instances[i]) {
       if (n > 0) {
         issues.push_back({LogIssue::Kind::kStartWithoutEnd,
-                          std::string(instances[i].name),
+                          std::string(names[i]),
                           StrFormat("activity '%s' (%lld unmatched)",
                                     std::string(activity).c_str(),
                                     static_cast<long long>(n))});

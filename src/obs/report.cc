@@ -115,7 +115,8 @@ Result<RunReport> BuildRunReport(const EventLog& log,
   if (!BudgetCut(mine.budget, &report.degradation, "report.sensitivity",
                  "noise sensitivity sweep skipped; the table is empty")) {
     PROCMINE_SPAN("report.sensitivity");
-    report.epsilon = EstimateNoiseRate(log);
+    report.epsilon =
+        options.epsilon ? *options.epsilon : EstimateNoiseRate(log);
     const int64_t m = report.num_executions;
     std::vector<int64_t> sweep =
         options.sweep.empty()

@@ -23,6 +23,7 @@
 #define PROCMINE_OBS_REPORT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,10 @@ struct RunReportOptions {
   /// Copied into the report so the JSON records what the reader dropped
   /// before mining even started. Borrowed; may be null.
   const IngestionReport* ingestion = nullptr;
+  /// The log's Section 6 noise estimate (EstimateNoiseRate) when the caller
+  /// already has it, e.g. from --threshold=auto. Empty: the sweep estimates
+  /// it.
+  std::optional<double> epsilon;
 };
 
 /// The aggregated artifact. Build with BuildRunReport().

@@ -14,7 +14,7 @@ void IdSetTable::Merge(const IdSetTable& other) {
 
 bool IdSetTable::Add(std::span<const int32_t> ids) {
   // Load factor stays at or below one half.
-  if (2 * (size() + 1) > slots_.size()) Grow();
+  if (2 * (size() + 1) > slots_.size()) GrowTaggedSlots(&slots_);
   const uint64_t tag = HashBytes(ids.data(), ids.size_bytes()) >> 32;
   const size_t mask = slots_.size() - 1;
   for (size_t pos = tag & mask;; pos = (pos + 1) & mask) {
@@ -34,18 +34,6 @@ bool IdSetTable::Add(std::span<const int32_t> ids) {
   pool_.insert(pool_.end(), ids.begin(), ids.end());
   offsets_.push_back(pool_.size());
   return true;
-}
-
-void IdSetTable::Grow() {
-  std::vector<uint64_t> old = std::move(slots_);
-  slots_.assign(std::max<size_t>(16, 2 * old.size()), 0);
-  const size_t mask = slots_.size() - 1;
-  for (uint64_t slot : old) {
-    if (slot == 0) continue;
-    size_t pos = (slot >> 32) & mask;
-    while (slots_[pos] != 0) pos = (pos + 1) & mask;
-    slots_[pos] = slot;
-  }
 }
 
 }  // namespace procmine

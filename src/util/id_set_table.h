@@ -43,7 +43,6 @@ class IdSetTable {
 
  private:
   bool Add(std::span<const int32_t> ids);
-  void Grow();
 
   int64_t inserted_ = 0;
   std::vector<int32_t> pool_;

@@ -321,20 +321,32 @@ TEST_F(CliTest, NoisePrintsEpsilonAndThreshold) {
 }
 
 TEST_F(CliTest, MineAutoThresholdEstimatesEpsilonOnce) {
-  std::string trace_path = dir_ + "/auto_trace.json";
-  CommandResult result = RunCli("mine --threshold=auto --trace-out=" +
-                                trace_path + " " + std::string(kOrderLog));
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_NE(result.output.find("estimated noise rate 0.0833 -> threshold 3\n"),
-            std::string::npos)
-      << result.output;
-  std::string trace = ReadFileOrEmpty(trace_path);
-  size_t spans = 0;
-  for (size_t at = trace.find("\"noise.estimate\""); at != std::string::npos;
-       at = trace.find("\"noise.estimate\"", at + 1)) {
-    ++spans;
+  // The report's sensitivity sweep reuses the estimate --threshold=auto
+  // made, on `mine --report-out` and on `report` alike.
+  const std::string report_path = dir_ + "/auto_report.json";
+  for (const std::string& command :
+       {std::string("mine --threshold=auto"),
+        "mine --threshold=auto --report-out=" + report_path,
+        "report --threshold=auto --out=" + report_path}) {
+    std::string trace_path = dir_ + "/auto_trace.json";
+    CommandResult result = RunCli(command + " --trace-out=" + trace_path +
+                                  " " + std::string(kOrderLog));
+    EXPECT_EQ(result.exit_code, 0) << command << "\n" << result.output;
+    EXPECT_NE(
+        result.output.find("estimated noise rate 0.0833 -> threshold 3\n"),
+        std::string::npos)
+        << command << "\n" << result.output;
+    std::string trace = ReadFileOrEmpty(trace_path);
+    size_t spans = 0;
+    for (size_t at = trace.find("\"noise.estimate\"");
+         at != std::string::npos;
+         at = trace.find("\"noise.estimate\"", at + 1)) {
+      ++spans;
+    }
+    EXPECT_EQ(spans, 1u) << command << "\n" << trace;
   }
-  EXPECT_EQ(spans, 1u) << trace;
+  EXPECT_NE(ReadFileOrEmpty(report_path).find("\"epsilon\": 0.0833333"),
+            std::string::npos);
 }
 
 TEST_F(CliTest, MineReportOutEmitsProvenanceJson) {

@@ -22,6 +22,7 @@
 
 #include "log/binary_log.h"
 #include "log/reader.h"
+#include "log/recovery.h"
 #include "log/streaming_reader.h"
 #include "log/writer.h"
 #include "synth/noise_injector.h"
@@ -300,6 +301,141 @@ TEST(IngestEquivalenceTest, StreamingFileMatchesInMemoryStreaming) {
   EXPECT_EQ(from_stream->events, from_file->events);
   EXPECT_EQ(from_stream->executions, from_file->executions);
   std::remove(path.c_str());
+}
+
+/// One event as a log line.
+std::string EventLine(const Event& e) {
+  std::string line = e.process_instance + " " + e.activity +
+                     (e.type == EventType::kStart ? " START " : " END ") +
+                     std::to_string(e.timestamp);
+  for (int64_t v : e.output) line += " " + std::to_string(v);
+  return line + "\n";
+}
+
+/// An engine log's events with its executions dealt round-robin, one event
+/// of each unfinished execution per turn, so no instance is contiguous.
+/// Execution i is renamed inst_<i>, or inst_<n-1-i> with `reverse_names`:
+/// then the instances first appear in reverse name order.
+std::vector<Event> InterleavedEvents(uint64_t seed, bool reverse_names) {
+  EventLog log = RandomEngineLog(seed, true);
+  std::vector<std::vector<Event>> by_execution;
+  for (Event& e : log.ToEvents()) {
+    if (by_execution.empty() ||
+        by_execution.back().front().process_instance != e.process_instance) {
+      by_execution.emplace_back();
+    }
+    by_execution.back().push_back(std::move(e));
+  }
+  const size_t n = by_execution.size();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t rank = reverse_names ? n - 1 - i : i;
+    for (Event& e : by_execution[i]) {
+      e.process_instance = StrFormat("inst_%02zu", rank);
+    }
+  }
+  const size_t total = static_cast<size_t>(log.TotalInstances()) * 2;
+  std::vector<Event> events;
+  for (size_t turn = 0; events.size() < total; ++turn) {
+    for (const std::vector<Event>& execution : by_execution) {
+      if (turn < execution.size()) events.push_back(execution[turn]);
+    }
+  }
+  return events;
+}
+
+TEST(IngestEquivalenceTest, NonContiguousInstancesInAnyNameOrder) {
+  // Instances that resume after others began, first appearing in name order
+  // (assembly keeps the interning order) and in reverse name order
+  // (assembly sorts). Under kQuarantine the same text carries malformed
+  // lines and one unpairable instance; the surviving log must be the
+  // legacy parse of the clean text, and every quarantine record must point
+  // at the bytes it came from.
+  const std::vector<std::pair<std::string, std::string>> kMalformed = {
+      {"short line", "short_line"},
+      {"x A MIDDLE 5", "bad_event_type"},
+      {"x A START late", "bad_timestamp"},
+      {"x A START 0 99", "output_on_start"},
+      {"x A END 1 notanint", "bad_output"},
+  };
+  const std::vector<Event> kPoisoned = {
+      {"poisoned", "p", EventType::kEnd, 5, {}},
+      {"poisoned", "q", EventType::kStart, 6, {}},
+      {"poisoned", "q", EventType::kEnd, 7, {}},
+  };
+  for (bool reverse_names : {false, true}) {
+    const std::vector<Event> events = InterleavedEvents(51, reverse_names);
+    std::string clean, poisoned, dirty;
+    std::vector<QuarantineRecord> expected;
+    int64_t lines = 0;
+    for (size_t i = 0; i < events.size(); ++i) {
+      const std::string line = EventLine(events[i]);
+      clean += line;
+      poisoned += line;
+      dirty += line;
+      ++lines;
+      if (i % 7 == 3) {
+        const auto& [text, error_class] = kMalformed[expected.size() %
+                                                     kMalformed.size()];
+        expected.push_back({static_cast<int64_t>(dirty.size()), ++lines,
+                            error_class, text});
+        dirty += text + "\n";
+      }
+      if (i % 11 == 5 && i / 11 < kPoisoned.size()) {
+        const std::string bad = EventLine(kPoisoned[i / 11]);
+        poisoned += bad;
+        dirty += bad;
+        ++lines;
+      }
+    }
+    const std::string context =
+        reverse_names ? "reverse name order" : "name order";
+    auto legacy = legacy::ReadString(clean);
+    ASSERT_TRUE(legacy.ok()) << context << ": " << legacy.status().ToString();
+    // The oracle assembles through the same AssembleEventLog, so check the
+    // name order on its own.
+    ASSERT_EQ(legacy->num_executions(), 20u) << context;
+    for (size_t i = 1; i < legacy->num_executions(); ++i) {
+      EXPECT_LT(legacy->execution(i - 1).name(), legacy->execution(i).name())
+          << context;
+    }
+    // The unpairable instance is dropped with the message the strict oracle
+    // fails with.
+    auto legacy_poisoned = legacy::ReadString(poisoned);
+    ASSERT_FALSE(legacy_poisoned.ok()) << context;
+    expected.push_back({-1, 0, "end_without_start",
+                        legacy_poisoned.status().message()});
+
+    for (int threads : {1, 2, 8}) {
+      for (size_t min_bytes : {size_t{1}, size_t{64}, size_t{4096}}) {
+        const std::string where = context + " threads=" +
+                                  std::to_string(threads) + " min_bytes=" +
+                                  std::to_string(min_bytes);
+        LogParseOptions options;
+        options.num_threads = threads;
+        options.min_shard_bytes = min_bytes;
+        auto strict = LogReader::ParseText(clean, options);
+        ASSERT_TRUE(strict.ok()) << where << ": "
+                                 << strict.status().ToString();
+        ExpectIdenticalLogs(*legacy, *strict, where + " strict");
+
+        IngestionReport report;
+        options.recovery = RecoveryPolicy::kQuarantine;
+        options.report = &report;
+        auto recovered = LogReader::ParseText(dirty, options);
+        ASSERT_TRUE(recovered.ok()) << where << ": "
+                                    << recovered.status().ToString();
+        ExpectIdenticalLogs(*legacy, *recovered, where + " quarantine");
+        ASSERT_EQ(report.quarantined.size(), expected.size()) << where;
+        for (size_t r = 0; r < expected.size(); ++r) {
+          const QuarantineRecord& got = report.quarantined[r];
+          EXPECT_EQ(got.byte_offset, expected[r].byte_offset) << where;
+          EXPECT_EQ(got.line, expected[r].line) << where;
+          EXPECT_EQ(got.error_class, expected[r].error_class) << where;
+          EXPECT_EQ(got.raw, expected[r].raw) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(IngestEquivalenceTest, NoisyLogsStayEquivalent) {

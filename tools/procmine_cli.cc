@@ -377,14 +377,17 @@ Result<MinerOptions> MinerOptionsFromArgs(const Args& args) {
 }
 
 /// --threshold=auto: the Section 6 threshold estimated from the whole log.
-void AutoThreshold(const Args& args, const EventLog& log,
-                   MinerOptions* options) {
-  if (args.Get("threshold") != "auto") return;
+/// Returns the estimated noise rate, so a report need not estimate it again;
+/// empty without --threshold=auto.
+std::optional<double> AutoThreshold(const Args& args, const EventLog& log,
+                                    MinerOptions* options) {
+  if (args.Get("threshold") != "auto") return std::nullopt;
   const double epsilon = EstimateNoiseRate(log);
   options->noise_threshold = SuggestNoiseThreshold(
       static_cast<int64_t>(log.num_executions()), epsilon);
   std::fprintf(stderr, "estimated noise rate %.4f -> threshold %lld\n",
                epsilon, static_cast<long long>(options->noise_threshold));
+  return epsilon;
 }
 
 /// Parses --sweep=T1,T2,... into RunReportOptions::sweep.
@@ -608,7 +611,7 @@ Result<int> CommandMine(const Args& args) {
   PROCMINE_ASSIGN_OR_RETURN(EventLog log,
                             ReadLogAuto(path, args, &ingestion));
   obs::SetCurrentPhase("mine");
-  AutoThreshold(args, log, &options);
+  const std::optional<double> epsilon = AutoThreshold(args, log, &options);
   ProcessMiner miner(options);
 
   // --report-out / --report-dot: mine once with provenance recording and
@@ -616,6 +619,7 @@ Result<int> CommandMine(const Args& args) {
   std::optional<ProcessGraph> model;
   if (args.Has("report-out") || args.Has("report-dot")) {
     report_options.miner = options;
+    report_options.epsilon = epsilon;
     if (ingestion.policy != RecoveryPolicy::kStrict) {
       report_options.ingestion = &ingestion;
     }
@@ -1133,7 +1137,7 @@ Result<int> CommandReport(const Args& args) {
   IngestionReport ingestion;
   PROCMINE_ASSIGN_OR_RETURN(EventLog log,
                             ReadLogAuto(args.positional[0], args, &ingestion));
-  AutoThreshold(args, log, &miner);
+  options.epsilon = AutoThreshold(args, log, &miner);
   miner.budget = &budget;
   options.miner = miner;
   if (ingestion.policy != RecoveryPolicy::kStrict) {
