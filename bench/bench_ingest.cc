@@ -53,6 +53,13 @@ double BestOf(int repeats, const std::function<void()>& fn) {
   return best;
 }
 
+// The legacy baseline: the legacy line parser, then FromEvents.
+Status LegacyRead(const std::string& text) {
+  PROCMINE_ASSIGN_OR_RETURN(std::vector<Event> events,
+                            legacy::ParseEvents(text));
+  return EventLog::FromEvents(events).status();
+}
+
 Sample MakeSample(const std::string& name, double seconds, size_t bytes,
                   int64_t events) {
   Sample s;
@@ -96,7 +103,7 @@ int main() {
                std::ifstream file(text_path);
                std::ostringstream buffer;
                buffer << file.rdbuf();
-               PROCMINE_CHECK_OK(legacy::ReadString(buffer.str()).status());
+               PROCMINE_CHECK_OK(LegacyRead(buffer.str()));
              }),
       text_bytes, events));
 
@@ -125,7 +132,7 @@ int main() {
   samples.push_back(MakeSample(
       "string_legacy",
       BestOf(repeats,
-             [&] { PROCMINE_CHECK_OK(legacy::ReadString(text).status()); }),
+             [&] { PROCMINE_CHECK_OK(LegacyRead(text)); }),
       text_bytes, events));
   samples.push_back(MakeSample(
       "string_fused",

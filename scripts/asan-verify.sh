@@ -17,11 +17,14 @@
 # line scanner (src/log/text_line.h) and one pairing routine, and the bit
 # layer: the packed BitMatrix rows and their word loops, plus every suite
 # that indexes them by hand (transitive reduction, reachability, the
-# rank-space steps 5-6 kernel, relations, conformance), and the open-
+# rank-space steps 5-6 kernel, relations, conformance), the one extent
+# pass behind the log relations and the noise estimate (its property test
+# against the legacy passes, and the epsilon tests), and the open-
 # addressing name index every text front end interns through. Run whenever
 # src/log/segment_store, src/log/reader, src/log/text_line,
 # src/log/streaming_reader, src/log/event_assembly, src/log/name_index,
-# src/mine/pipeline, src/mine/ooc_miner, src/obs/telemetry, src/serve/,
+# src/mine/pipeline, src/mine/ooc_miner, src/mine/relations,
+# src/mine/noise, src/obs/telemetry, src/serve/,
 # util/id_set_table, util/bit_matrix, or the binary-log salvage path
 # changes.
 #
@@ -45,7 +48,8 @@ cmake --build "$BUILD_DIR" -j \
            ingest_equivalence_test streaming_reader_test reader_writer_test \
            name_index_test \
            bit_matrix_test transitive_reduction_test graph_algorithms_test \
-           reduce_activity_sets_test relations_test conformance_test
+           reduce_activity_sets_test relations_test conformance_test \
+           relations_property_test noise_estimate_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Format(Garbage|RoundTrip|Sizes)|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest|IngestEquivalence|StreamingReader|NameIndex|LogReader|LogWriter|BitsKernel|BitMatrix|TransitiveReduction|Reachability|ReduceActivitySets|Relations|Conformance'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Format(Garbage|RoundTrip|Sizes)|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest|IngestEquivalence|StreamingReader|NameIndex|LogReader|LogWriter|BitsKernel|BitMatrix|TransitiveReduction|Reachability|ReduceActivitySets|Relations|EstimateNoiseRate|SuggestNoiseThreshold|Conformance'

@@ -21,15 +21,9 @@ int64_t FirstInstanceOf(const Execution& exec, NodeId a) {
 }  // namespace
 
 ConformanceChecker::ConformanceChecker(const ProcessGraph* graph)
-    : ConformanceChecker(graph, ReachabilityMatrix(graph->graph())) {}
-
-ConformanceChecker::ConformanceChecker(const ProcessGraph* graph,
-                                       BitMatrix reach)
-    : graph_(graph), reach_(std::move(reach)) {
+    : graph_(graph) {
   PROCMINE_CHECK(graph_ != nullptr);
-  PROCMINE_CHECK(reach_.rows() ==
-                     static_cast<size_t>(graph_->graph().num_nodes()) &&
-                 reach_.cols() == reach_.rows());
+  reach_ = ReachabilityMatrix(graph_->graph());
   // Locate the initiating and terminating activities, ignoring isolated
   // vertices: a graph mined from a log whose dictionary lists activities
   // that never occurred carries them as degree-0 vertices, and the paper's

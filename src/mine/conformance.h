@@ -68,12 +68,6 @@ class ConformanceChecker {
   /// ActivityIds (true for mined graphs and engine-generated logs).
   explicit ConformanceChecker(const ProcessGraph* graph);
 
-  /// As above, but adopts a precomputed reachability matrix of
-  /// `graph->graph()` (e.g. one kept around from an earlier checker over the
-  /// same model) instead of recomputing it. `reach` must have one row and
-  /// one column per graph vertex.
-  ConformanceChecker(const ProcessGraph* graph, BitMatrix reach);
-
   /// Definition 6. OK iff `exec` is consistent with the graph.
   Status CheckExecution(const Execution& exec) const {
     return CheckExecution(exec, nullptr);
@@ -100,14 +94,9 @@ class ConformanceChecker {
   ConformanceReport CheckLog(const EventLog& log, bool record_verdicts,
                              const Relations* relations) const;
 
-  /// The graph's reachability matrix (path a ->+ b iff Test(a, b)); exposed
-  /// so callers checking the same model repeatedly can hand it to the
-  /// adopting constructor.
-  const BitMatrix& reach() const { return reach_; }
-
  private:
   const ProcessGraph* graph_;
-  BitMatrix reach_;
+  BitMatrix reach_;  // path a ->+ b iff reach_.Test(a, b)
   // Initiating/terminating activities, isolated vertices ignored; if either
   // is not unique, endpoint_error_ carries the failure.
   NodeId source_ = -1;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include <vector>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -56,61 +54,21 @@ int64_t OptimalNoiseThreshold(int64_t m, double epsilon) {
   return std::clamp<int64_t>(rounded, 1, m);
 }
 
-double EstimateNoiseRate(const EventLog& log, double minority_cutoff) {
+double EstimateNoiseRate(const std::vector<int64_t>& ordered, size_t n) {
   PROCMINE_SPAN("noise.estimate");
-  const ActivityId n = log.num_activities();
-  if (n == 0 || log.num_executions() == 0) return 0.0;
-
-  // ordered[a*n+b] = executions in which a wholly precedes b.
-  std::vector<int64_t> ordered(static_cast<size_t>(n) *
-                                   static_cast<size_t>(n),
-                               0);
-  auto idx = [n](ActivityId a, ActivityId b) {
-    return static_cast<size_t>(a) * static_cast<size_t>(n) +
-           static_cast<size_t>(b);
-  };
-  std::vector<int64_t> first_start(static_cast<size_t>(n));
-  std::vector<int64_t> last_end(static_cast<size_t>(n));
-  std::vector<bool> present(static_cast<size_t>(n));
-  std::vector<size_t> touched;
-  for (const Execution& exec : log.executions()) {
-    touched.clear();
-    for (const ActivityInstance& inst : exec.instances()) {
-      size_t a = static_cast<size_t>(inst.activity);
-      if (!present[a]) {
-        present[a] = true;
-        touched.push_back(a);
-        first_start[a] = inst.start;
-        last_end[a] = inst.end;
-      } else {
-        first_start[a] = std::min(first_start[a], inst.start);
-        last_end[a] = std::max(last_end[a], inst.end);
-      }
-    }
-    // Only pairs of activities present in this execution can be ordered in
-    // it, so the pair loop is O(p^2) in its activity count, not O(p*n).
-    for (size_t a : touched) {
-      for (size_t b : touched) {
-        if (a != b && last_end[a] < first_start[b]) {
-          ++ordered[a * static_cast<size_t>(n) + b];
-        }
-      }
-    }
-    for (size_t a : touched) present[a] = false;
-  }
-
+  PROCMINE_CHECK_EQ(ordered.size(), n * n);
   double weighted_minority = 0.0;
   double weight = 0.0;
   int64_t noisy_pairs = 0;
-  for (ActivityId a = 0; a < n; ++a) {
-    for (ActivityId b = a + 1; b < n; ++b) {
-      int64_t ab = ordered[idx(a, b)];
-      int64_t ba = ordered[idx(b, a)];
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      int64_t ab = ordered[a * n + b];
+      int64_t ba = ordered[b * n + a];
       int64_t total = ab + ba;
       if (total == 0 || ab == 0 || ba == 0) continue;  // clean pair
       double minority = static_cast<double>(std::min(ab, ba)) /
                         static_cast<double>(total);
-      if (minority >= minority_cutoff) continue;  // genuinely parallel
+      if (minority >= kMinorityCutoff) continue;  // genuinely parallel
       weighted_minority += minority * static_cast<double>(total);
       weight += static_cast<double>(total);
       ++noisy_pairs;

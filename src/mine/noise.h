@@ -12,9 +12,9 @@
 #ifndef PROCMINE_MINE_NOISE_H_
 #define PROCMINE_MINE_NOISE_H_
 
+#include <cstddef>
 #include <cstdint>
-
-#include "log/event_log.h"
+#include <vector>
 
 namespace procmine {
 
@@ -39,17 +39,24 @@ double ThresholdErrorBound(int64_t m, int64_t T, double epsilon);
 /// assumption); smaller epsilon yields smaller T.
 int64_t OptimalNoiseThreshold(int64_t m, double epsilon);
 
-/// Estimated per-pair out-of-order error rate of a log — the epsilon the
-/// Section 6 analysis assumes "approximately known". For every ordered
-/// activity pair observed in both orders, the minority orientation's share
-/// of co-occurrences is attributed to noise when it is rare (strictly below
-/// `minority_cutoff`, default 0.2: truly parallel activities split their
-/// orders roughly evenly and are excluded). Returns the co-occurrence-
-/// weighted mean minority share over dependent-looking pairs; 0 for clean
-/// or empty logs.
-double EstimateNoiseRate(const EventLog& log, double minority_cutoff = 0.2);
+/// Minority share below which a pair observed in both orders is attributed
+/// to noise: truly parallel activities split their orders roughly evenly
+/// and stay above it.
+inline constexpr double kMinorityCutoff = 0.2;
 
-/// Converts an estimated epsilon (EstimateNoiseRate of a log) into a
+/// Estimated per-pair out-of-order error rate of a log — the epsilon the
+/// Section 6 analysis assumes "approximately known". `ordered` is the n x n
+/// table whose entry a * n + b counts the executions in which a's extent
+/// (first start to last end) wholly precedes b's; Relations::Compute fills
+/// it in its one log walk. For every activity pair {a, b} observed in both
+/// orders, its weight is ordered(a, b) + ordered(b, a): executions in which
+/// the two extents overlap are not counted. The minority orientation's share
+/// of that weight is attributed to noise when it is below kMinorityCutoff.
+/// Returns the weighted mean minority share over the attributed pairs; 0
+/// for clean or empty logs.
+double EstimateNoiseRate(const std::vector<int64_t>& ordered, size_t n);
+
+/// Converts an estimated epsilon (Relations::epsilon of a log) into a
 /// threshold for that log's m executions: epsilon is clamped into
 /// OptimalNoiseThreshold's domain, and a clean log (epsilon 0) gets
 /// threshold 1.

@@ -1,8 +1,11 @@
 // The log relations of Section 2: following (Definition 3), dependence
 // (Definition 4), and independence — computed directly from a log, without
-// mining a graph. The conformance checker uses these to verify Definition
-// 7's dependency-completeness and irredundancy clauses; tests use them to
-// validate the paper's worked examples.
+// mining a graph — together with the Section 6 out-of-order rate epsilon,
+// which reads the same pair counts. The conformance checker uses the
+// relations to verify Definition 7's dependency-completeness and
+// irredundancy clauses; --threshold=auto, `noise` and the report's
+// sensitivity sweep read epsilon; tests use both to validate the paper's
+// worked examples.
 
 #ifndef PROCMINE_MINE_RELATIONS_H_
 #define PROCMINE_MINE_RELATIONS_H_
@@ -15,27 +18,21 @@
 
 namespace procmine {
 
-class ThreadPool;
-
-/// Follows/depends/independent relations over a log's activities.
+/// Follows/depends/independent relations over a log's activities, and the
+/// log's estimated out-of-order rate.
 ///
-/// Computed for repeat-free (acyclic-process) logs: for executions with
-/// repeated activities the definitions are applied to occurrence extents
-/// (last end of A vs first start of B).
+/// Both come from occurrence extents (first start, last end of an activity
+/// in one execution), so logs with repeated activities are handled the same
+/// way as repeat-free ones.
 class Relations {
  public:
-  /// One O(p^2) pass per execution (p = activities present) plus one
-  /// transitive closure.
+  /// One sequential pass over the executions, O(p^2) per execution (p =
+  /// activities present), counting for every ordered pair (a, b) the
+  /// executions holding both (cooccur) and those in which a's extent wholly
+  /// precedes b's (ordered). b directly follows a iff cooccur(a, b) > 0 and
+  /// ordered(a, b) == cooccur(a, b); epsilon is EstimateNoiseRate of the
+  /// ordered counts. Then one transitive closure.
   static Relations Compute(const EventLog& log);
-
-  /// Parallel variant: executions are split into work-stealing chunks whose
-  /// co-occurrence/violation bit matrices merge by whole-matrix OR. The
-  /// chunk partition depends only on (log, thread count, chunk_size), so
-  /// the result is byte-identical to the sequential path for any thread
-  /// count. `pool` may be null (sequential); `chunk_size` is the per-chunk
-  /// execution count (0 = default, see PlanChunks).
-  static Relations Compute(const EventLog& log, ThreadPool* pool,
-                           size_t chunk_size = 0);
 
   /// Definition 3: B follows A (directly or through intermediaries).
   bool Follows(ActivityId b, ActivityId a) const {
@@ -67,9 +64,14 @@ class Relations {
   /// All dependent pairs (a, b) with b depending on a, sorted.
   std::vector<Edge> AllDependencies() const;
 
+  /// The Section 6 per-pair out-of-order rate of the log (see
+  /// EstimateNoiseRate in mine/noise.h); 0 for clean or empty logs.
+  double epsilon() const { return epsilon_; }
+
  private:
   DirectedGraph followings_;
   BitMatrix follows_closure_;
+  double epsilon_ = 0.0;
 };
 
 }  // namespace procmine

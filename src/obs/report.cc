@@ -1,15 +1,13 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <set>
 
 #include "graph/dot.h"
 #include "mine/noise.h"
-#include "mine/relations.h"
 #include "obs/trace.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace procmine::obs {
 
@@ -92,6 +90,15 @@ Result<RunReport> BuildRunReport(const EventLog& log,
     }
   }
 
+  // One extent pass serves both audit phases: the caller's, or our own,
+  // computed by the first phase that runs.
+  std::optional<Relations> computed;
+  auto relations = [&]() -> const Relations& {
+    if (options.relations != nullptr) return *options.relations;
+    if (!computed.has_value()) computed = Relations::Compute(log);
+    return *computed;
+  };
+
   // Exhausted budgets skip the audit phases rather than failing the report:
   // the partial model is still emitted, and the degradation record names the
   // first phase that was cut.
@@ -100,23 +107,14 @@ Result<RunReport> BuildRunReport(const EventLog& log,
                  "absent")) {
     PROCMINE_SPAN("report.conformance");
     ConformanceChecker checker(&report.model);
-    // Compute the log relations once here — sharded across the same worker
-    // budget the miner used — and hand them to the checker instead of letting
-    // CheckLog rebuild them on one thread. The verdicts are identical either
-    // way; Relations::Compute is thread-count invariant.
-    std::unique_ptr<ThreadPool> audit_pool =
-        PoolForInput(mine.num_threads, log.num_executions());
-    Relations relations =
-        Relations::Compute(log, audit_pool.get(), mine.chunk_size);
     report.conformance =
-        checker.CheckLog(log, /*record_verdicts=*/true, &relations);
+        checker.CheckLog(log, /*record_verdicts=*/true, &relations());
   }
 
   if (!BudgetCut(mine.budget, &report.degradation, "report.sensitivity",
                  "noise sensitivity sweep skipped; the table is empty")) {
     PROCMINE_SPAN("report.sensitivity");
-    report.epsilon =
-        options.epsilon ? *options.epsilon : EstimateNoiseRate(log);
+    report.epsilon = relations().epsilon();
     const int64_t m = report.num_executions;
     std::vector<int64_t> sweep =
         options.sweep.empty()

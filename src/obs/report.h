@@ -23,7 +23,6 @@
 #define PROCMINE_OBS_REPORT_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "mine/conformance.h"
 #include "mine/miner.h"
 #include "mine/provenance.h"
+#include "mine/relations.h"
 #include "obs/metrics.h"
 #include "util/budget.h"
 #include "util/result.h"
@@ -73,10 +73,12 @@ struct RunReportOptions {
   /// Copied into the report so the JSON records what the reader dropped
   /// before mining even started. Borrowed; may be null.
   const IngestionReport* ingestion = nullptr;
-  /// The log's Section 6 noise estimate (EstimateNoiseRate) when the caller
-  /// already has it, e.g. from --threshold=auto. Empty: the sweep estimates
-  /// it.
-  std::optional<double> epsilon;
+  /// The log's relations (mine/relations.h) when the caller already has
+  /// them, e.g. from --threshold=auto: the audit reads their followings and
+  /// the sweep their epsilon. Borrowed; may be null, and then the first
+  /// phase that runs computes them, so a report whose audit phases the
+  /// budget skips never walks the log for them.
+  const Relations* relations = nullptr;
 };
 
 /// The aggregated artifact. Build with BuildRunReport().

@@ -4,8 +4,7 @@
 // The closure and reduction algorithms (Algorithm 4 of the paper) are
 // whole-row unions over per-vertex descendant sets. Each row is
 // words_per_row() = (cols + 63) / 64 words and the rows are stored back to
-// back, so walking rows in order is a linear scan and a whole-matrix op
-// (merging two shard matrices) is one loop over rows * words_per_row words.
+// back, so walking rows in order is a linear scan.
 // On the paper's 10-100-activity graphs a row is one or two words, so every
 // loop here is the plain one-word-at-a-time loop.
 //
@@ -30,11 +29,6 @@ namespace bits {
 /// dst |= src over `n` words.
 inline void Or(uint64_t* dst, const uint64_t* src, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-/// dst &= ~src over `n` words.
-inline void AndNot(uint64_t* dst, const uint64_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] &= ~src[i];
 }
 
 /// Number of set bits in the first `n` words.
@@ -147,17 +141,6 @@ class BitMatrix {
 
   /// Zeroes every bit.
   void Clear() { std::fill(words_.begin(), words_.end(), 0); }
-
-  /// this |= other over the whole matrix: the shard-merge primitive.
-  void OrWith(const BitMatrix& other) {
-    PROCMINE_DCHECK(rows_ == other.rows_ && cols_ == other.cols_);
-    bits::Or(words_.data(), other.words_.data(), words_.size());
-  }
-  /// this &= ~other over the whole matrix.
-  void AndNotWith(const BitMatrix& other) {
-    PROCMINE_DCHECK(rows_ == other.rows_ && cols_ == other.cols_);
-    bits::AndNot(words_.data(), other.words_.data(), words_.size());
-  }
 
   /// Total set bits.
   size_t Count() const {

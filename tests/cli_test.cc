@@ -349,6 +349,41 @@ TEST_F(CliTest, MineAutoThresholdEstimatesEpsilonOnce) {
             std::string::npos);
 }
 
+TEST_F(CliTest, EachCommandWalksTheLogForRelationsOnce) {
+  // Followings and epsilon come from one extent pass: a command that needs
+  // either walks the log for them once, and a report whose audit phases
+  // the budget skips walks it not at all.
+  const std::string report_path = dir_ + "/walk_report.json";
+  const std::string model_path = dir_ + "/walk_model.txt";
+  std::ofstream(model_path) << "Receive CreditCheck\n";
+  const std::string trace_path = dir_ + "/walk_trace.json";
+  auto relation_spans = [&](const std::string& command, int want_exit) {
+    CommandResult result = RunCli(command + " --trace-out=" + trace_path +
+                                  " " + std::string(kOrderLog));
+    EXPECT_EQ(result.exit_code, want_exit) << command << "\n"
+                                           << result.output;
+    const std::string trace = ReadFileOrEmpty(trace_path);
+    size_t spans = 0;
+    for (size_t at = trace.find("\"relations.compute\"");
+         at != std::string::npos;
+         at = trace.find("\"relations.compute\"", at + 1)) {
+      ++spans;
+    }
+    return spans;
+  };
+  for (const std::string& command :
+       {"report --out=" + report_path,
+        "report --threshold=auto --out=" + report_path,
+        std::string("mine --threshold=auto"),
+        "mine --threshold=auto --report-out=" + report_path,
+        std::string("noise")}) {
+    EXPECT_EQ(relation_spans(command, 0), 1u) << command;
+  }
+  EXPECT_EQ(relation_spans("check --model=" + model_path, 1), 1u);
+  EXPECT_EQ(relation_spans("report --deadline-ms=0 --out=" + report_path, 4),
+            0u);
+}
+
 TEST_F(CliTest, MineReportOutEmitsProvenanceJson) {
   std::string report_path = dir_ + "/report.json";
   CommandResult result =

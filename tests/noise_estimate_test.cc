@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "mine/noise.h"
+#include "mine/relations.h"
 #include "synth/log_generator.h"
 #include "synth/noise_injector.h"
 
@@ -12,12 +13,17 @@ EventLog ChainLog(size_t m) {
   return EventLog::FromCompactStrings(execs);
 }
 
+// The log's estimated out-of-order rate, as Relations::Compute reports it.
+double EpsilonOf(const EventLog& log) {
+  return Relations::Compute(log).epsilon();
+}
+
 TEST(EstimateNoiseRateTest, CleanLogIsZero) {
-  EXPECT_DOUBLE_EQ(EstimateNoiseRate(ChainLog(100)), 0.0);
+  EXPECT_DOUBLE_EQ(EpsilonOf(ChainLog(100)), 0.0);
 }
 
 TEST(EstimateNoiseRateTest, EmptyLogIsZero) {
-  EXPECT_DOUBLE_EQ(EstimateNoiseRate(EventLog()), 0.0);
+  EXPECT_DOUBLE_EQ(EpsilonOf(EventLog()), 0.0);
 }
 
 TEST(EstimateNoiseRateTest, TracksInjectedRate) {
@@ -26,7 +32,7 @@ TEST(EstimateNoiseRateTest, TracksInjectedRate) {
     noise.swap_rate = epsilon;
     noise.seed = 17;
     EventLog noisy = InjectNoise(ChainLog(2000), noise);
-    double estimate = EstimateNoiseRate(noisy);
+    double estimate = EpsilonOf(noisy);
     EXPECT_GT(estimate, epsilon * 0.4) << "eps=" << epsilon;
     EXPECT_LT(estimate, epsilon * 2.5) << "eps=" << epsilon;
   }
@@ -39,22 +45,24 @@ TEST(EstimateNoiseRateTest, ParallelPairsNotCountedAsNoise) {
     execs.push_back(i % 2 == 0 ? "ABCD" : "ACBD");
   }
   EventLog log = EventLog::FromCompactStrings(execs);
-  EXPECT_DOUBLE_EQ(EstimateNoiseRate(log), 0.0);
+  EXPECT_DOUBLE_EQ(EpsilonOf(log), 0.0);
 }
 
 TEST(EstimateNoiseRateTest, MinorityCutoffControlsAttribution) {
-  // 70/30 split: above the default cutoff (parallel-ish), so ignored; with
-  // a high cutoff it is attributed to noise.
-  std::vector<std::string> execs;
-  for (int i = 0; i < 70; ++i) execs.push_back("ABC");
-  for (int i = 0; i < 30; ++i) execs.push_back("ACB");
-  EventLog log = EventLog::FromCompactStrings(execs);
-  EXPECT_DOUBLE_EQ(EstimateNoiseRate(log, 0.2), 0.0);
-  EXPECT_GT(EstimateNoiseRate(log, 0.4), 0.0);
+  // 70/30 split: above the cutoff (parallel-ish), so ignored.
+  std::vector<std::string> even;
+  for (int i = 0; i < 70; ++i) even.push_back("ABC");
+  for (int i = 0; i < 30; ++i) even.push_back("ACB");
+  EXPECT_DOUBLE_EQ(EpsilonOf(EventLog::FromCompactStrings(even)), 0.0);
+  // 90/10 split: below the cutoff, so the minority share is noise.
+  std::vector<std::string> skewed;
+  for (int i = 0; i < 90; ++i) skewed.push_back("ABC");
+  for (int i = 0; i < 10; ++i) skewed.push_back("ACB");
+  EXPECT_DOUBLE_EQ(EpsilonOf(EventLog::FromCompactStrings(skewed)), 0.1);
 }
 
 TEST(SuggestNoiseThresholdTest, CleanLogSuggestsOne) {
-  EXPECT_EQ(SuggestNoiseThreshold(50, EstimateNoiseRate(ChainLog(50))), 1);
+  EXPECT_EQ(SuggestNoiseThreshold(50, EpsilonOf(ChainLog(50))), 1);
 }
 
 TEST(SuggestNoiseThresholdTest, NoisyLogSuggestsUsableThreshold) {
@@ -63,7 +71,7 @@ TEST(SuggestNoiseThresholdTest, NoisyLogSuggestsUsableThreshold) {
   noise.seed = 23;
   EventLog noisy = InjectNoise(ChainLog(500), noise);
   int64_t threshold = SuggestNoiseThreshold(
-      static_cast<int64_t>(noisy.num_executions()), EstimateNoiseRate(noisy));
+      static_cast<int64_t>(noisy.num_executions()), EpsilonOf(noisy));
   EXPECT_GT(threshold, 1);
   EXPECT_LT(threshold, 500);
 

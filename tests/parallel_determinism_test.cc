@@ -1,7 +1,7 @@
 // Regression: the sharded mining pipeline must be byte-identical to the
 // sequential reference path for every thread count. For seeds x miners x
-// threads in {1, 2, 4, 7}, the mined edge set, the noise (edge) counters,
-// and the Relations bitsets must equal the single-threaded result.
+// threads in {1, 2, 4, 7}, the mined edge set and the noise (edge) counters
+// must equal the single-threaded result.
 
 #include <string>
 #include <vector>
@@ -13,7 +13,6 @@
 #include "mine/incremental.h"
 #include "mine/metrics.h"
 #include "mine/miner.h"
-#include "mine/relations.h"
 #include "synth/log_generator.h"
 #include "synth/random_dag.h"
 #include "util/random.h"
@@ -136,26 +135,6 @@ TEST(ParallelDeterminismTest, CyclicLabelingIsByteIdentical) {
         ASSERT_EQ(a.name(), b.name());
         ASSERT_EQ(a.Sequence(), b.Sequence());
       }
-    }
-  }
-}
-
-TEST(ParallelDeterminismTest, RelationsMatchSequential) {
-  for (uint64_t seed : kSeeds) {
-    ProcessGraph truth = TruthDag(seed);
-    WalkLogOptions options;
-    options.num_executions = 100;
-    options.seed = seed + 11;
-    auto log = GenerateWalkLog(truth, options);
-    ASSERT_TRUE(log.ok()) << log.status().ToString();
-    Relations reference = Relations::Compute(*log);
-    for (int threads : kThreadAxis) {
-      ThreadPool pool(threads);
-      Relations parallel = Relations::Compute(*log, &pool);
-      EXPECT_TRUE(parallel.followings_graph() == reference.followings_graph())
-          << "followings differ at threads=" << threads;
-      EXPECT_EQ(parallel.AllDependencies(), reference.AllDependencies())
-          << "dependencies differ at threads=" << threads;
     }
   }
 }

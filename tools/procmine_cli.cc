@@ -64,6 +64,7 @@
 #include "serve/wire.h"
 #include "synth/drift_scenario.h"
 #include "mine/reconstruct.h"
+#include "mine/relations.h"
 #include "mine/sequential_patterns.h"
 #include "workflow/engine.h"
 #include "workflow/fdl.h"
@@ -377,17 +378,18 @@ Result<MinerOptions> MinerOptionsFromArgs(const Args& args) {
 }
 
 /// --threshold=auto: the Section 6 threshold estimated from the whole log.
-/// Returns the estimated noise rate, so a report need not estimate it again;
-/// empty without --threshold=auto.
-std::optional<double> AutoThreshold(const Args& args, const EventLog& log,
-                                    MinerOptions* options) {
+/// Returns the log relations the estimate came from, so a report need not
+/// walk the log again; empty without --threshold=auto.
+std::optional<Relations> AutoThreshold(const Args& args, const EventLog& log,
+                                       MinerOptions* options) {
   if (args.Get("threshold") != "auto") return std::nullopt;
-  const double epsilon = EstimateNoiseRate(log);
+  Relations relations = Relations::Compute(log);
+  const double epsilon = relations.epsilon();
   options->noise_threshold = SuggestNoiseThreshold(
       static_cast<int64_t>(log.num_executions()), epsilon);
   std::fprintf(stderr, "estimated noise rate %.4f -> threshold %lld\n",
                epsilon, static_cast<long long>(options->noise_threshold));
-  return epsilon;
+  return relations;
 }
 
 /// Parses --sweep=T1,T2,... into RunReportOptions::sweep.
@@ -611,7 +613,7 @@ Result<int> CommandMine(const Args& args) {
   PROCMINE_ASSIGN_OR_RETURN(EventLog log,
                             ReadLogAuto(path, args, &ingestion));
   obs::SetCurrentPhase("mine");
-  const std::optional<double> epsilon = AutoThreshold(args, log, &options);
+  const std::optional<Relations> relations = AutoThreshold(args, log, &options);
   ProcessMiner miner(options);
 
   // --report-out / --report-dot: mine once with provenance recording and
@@ -619,7 +621,7 @@ Result<int> CommandMine(const Args& args) {
   std::optional<ProcessGraph> model;
   if (args.Has("report-out") || args.Has("report-dot")) {
     report_options.miner = options;
-    report_options.epsilon = epsilon;
+    report_options.relations = relations.has_value() ? &*relations : nullptr;
     if (ingestion.policy != RecoveryPolicy::kStrict) {
       report_options.ingestion = &ingestion;
     }
@@ -1111,7 +1113,7 @@ Result<int> CommandNoise(const Args& args) {
   if (args.positional.empty()) return Usage("noise");
   PROCMINE_ASSIGN_OR_RETURN(EventLog log,
                             ReadLogAuto(args.positional[0], args));
-  const double epsilon = EstimateNoiseRate(log);
+  const double epsilon = Relations::Compute(log).epsilon();
   const int64_t threshold = SuggestNoiseThreshold(
       static_cast<int64_t>(log.num_executions()), epsilon);
   std::printf("estimated out-of-order rate (epsilon): %.4f\n", epsilon);
@@ -1137,7 +1139,8 @@ Result<int> CommandReport(const Args& args) {
   IngestionReport ingestion;
   PROCMINE_ASSIGN_OR_RETURN(EventLog log,
                             ReadLogAuto(args.positional[0], args, &ingestion));
-  options.epsilon = AutoThreshold(args, log, &miner);
+  const std::optional<Relations> relations = AutoThreshold(args, log, &miner);
+  options.relations = relations.has_value() ? &*relations : nullptr;
   miner.budget = &budget;
   options.miner = miner;
   if (ingestion.policy != RecoveryPolicy::kStrict) {
