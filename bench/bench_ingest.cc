@@ -8,14 +8,19 @@
 //   text_mmap_tN    same, N threads (PROCMINE_BENCH_THREADS thread axis)
 //   streaming       StreamLogFile (mmap + execution-at-a-time scan)
 //   binary          ReadBinaryLogFile (mmap + varint decode)
+//   segment         SegmentStore::Open + Segment(i) for every segment of a
+//                   store of the same log, resident bound of one segment
+//                   (the out-of-core miner's window decode)
 // plus a parse-only string variant of the text paths, and writes
 // BENCH_ingest.json so sessions can track the trajectory.
 //
 // The text_legacy/text_mmap pair on the same file is the acceptance metric
-// for the zero-copy path (target: >= 3x events/sec single-threaded).
+// for the zero-copy path (target: >= 3x events/sec single-threaded). The
+// other rows have no floor.
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -26,6 +31,7 @@
 #include "bench_common.h"
 #include "log/binary_log.h"
 #include "log/reader.h"
+#include "log/segment_store.h"
 #include "log/streaming_reader.h"
 #include "log/writer.h"
 #include "util/timer.h"
@@ -86,8 +92,24 @@ int main() {
   std::remove((dir + ".bin").c_str());
   const std::string text_path = dir + ".log";
   const std::string bin_path = dir + ".bin";
+  const std::string store_dir = dir + ".store";
+  std::filesystem::remove_all(store_dir);
   PROCMINE_CHECK_OK(LogWriter::WriteFile(w.log, text_path));
   PROCMINE_CHECK_OK(WriteBinaryLogFile(w.log, bin_path));
+  // 2^15 events per segment: 4 segments in quick mode, about 15 in full.
+  SegmentStoreOptions store_options;
+  store_options.target_segment_events = 1 << 15;
+  int64_t store_bytes = 0;
+  {
+    auto writer = SegmentedLogWriter::Create(store_dir, store_options);
+    PROCMINE_CHECK_OK(writer.status());
+    PROCMINE_CHECK_OK(writer->AppendLog(w.log));
+    PROCMINE_CHECK_OK(writer->Finish());
+    store_bytes = writer->disk_bytes();
+  }
+  // A one-byte bound keeps exactly one segment resident, so every
+  // Segment(i) below is a decode, as in an out-of-core mine.
+  store_options.max_resident_bytes = 1;
   const std::string text = LogWriter::ToString(w.log);
   const size_t text_bytes = text.size();
   const size_t bin_bytes = EncodeBinaryLog(w.log).size();
@@ -161,6 +183,18 @@ int main() {
              [&] { PROCMINE_CHECK_OK(ReadBinaryLogFile(bin_path).status()); }),
       bin_bytes, events));
 
+  samples.push_back(MakeSample(
+      "segment",
+      BestOf(repeats,
+             [&] {
+               auto store = SegmentStore::Open(store_dir, store_options);
+               PROCMINE_CHECK_OK(store.status());
+               for (size_t i = 0; i < store->num_segments(); ++i) {
+                 PROCMINE_CHECK_OK(store->Segment(i).status());
+               }
+             }),
+      static_cast<size_t>(store_bytes), events));
+
   double legacy_eps = 0;
   double mmap_eps = 0;
   std::printf("Ingestion throughput, %lld events (%zu byte text log)\n",
@@ -199,6 +233,7 @@ int main() {
 
   std::remove(text_path.c_str());
   std::remove(bin_path.c_str());
+  std::filesystem::remove_all(store_dir);
   // Quick mode doubles as the ctest regression gate: fail loudly if the
   // zero-copy path ever drops below the 3x acceptance floor.
   if (mmap_eps < 3.0 * legacy_eps) {

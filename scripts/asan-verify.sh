@@ -20,8 +20,9 @@
 # rank-space steps 5-6 kernel, relations, conformance), the one extent
 # pass behind the log relations and the noise estimate (its property test
 # against the legacy passes, and the epsilon tests), and the open-
-# addressing name index every text front end interns through. Run whenever
-# src/log/segment_store, src/log/reader, src/log/text_line,
+# addressing name index every text front end interns through, and the
+# varint/fixed32 primitives every binary decoder reads through. Run whenever
+# src/util/coding, src/log/segment_store, src/log/reader, src/log/text_line,
 # src/log/streaming_reader, src/log/event_assembly, src/log/name_index,
 # src/mine/pipeline, src/mine/ooc_miner, src/mine/relations,
 # src/mine/noise, src/obs/telemetry, src/serve/,
@@ -46,10 +47,10 @@ cmake --build "$BUILD_DIR" -j \
            id_set_table_test miner_test general_dag_miner_test \
            cyclic_miner_test special_dag_miner_test \
            ingest_equivalence_test streaming_reader_test reader_writer_test \
-           name_index_test \
+           name_index_test coding_test \
            bit_matrix_test transitive_reduction_test graph_algorithms_test \
            reduce_activity_sets_test relations_test conformance_test \
            relations_property_test noise_estimate_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Format(Garbage|RoundTrip|Sizes)|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest|IngestEquivalence|StreamingReader|NameIndex|LogReader|LogWriter|BitsKernel|BitMatrix|TransitiveReduction|Reachability|ReduceActivitySets|Relations|EstimateNoiseRate|SuggestNoiseThreshold|Conformance'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Format(Garbage|RoundTrip|Sizes)|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest|IngestEquivalence|StreamingReader|NameIndex|LogReader|LogWriter|BitsKernel|BitMatrix|TransitiveReduction|Reachability|ReduceActivitySets|Relations|EstimateNoiseRate|SuggestNoiseThreshold|Conformance|Varint|Zigzag|Fixed32|LengthPrefixed|CodingTest'

@@ -1,5 +1,7 @@
 #include "log/binary_log.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/atomic_file.h"
@@ -15,6 +17,20 @@ namespace {
 constexpr char kMagic[] = "PMLG";
 constexpr uint64_t kVersion = 1;
 
+// Smallest encodings, used to cap reserves by the bytes that remain: an
+// instance is activity, start delta, duration and output count (one byte
+// each at least); an execution is a name prefix and an instance count.
+constexpr uint64_t kMinInstanceBytes = 4;
+constexpr uint64_t kMinExecutionBytes = 2;
+
+/// `declared`, capped at the number of `min_bytes` records `cursor` could
+/// still hold, so a corrupt count cannot force a huge allocation.
+size_t BoundedReserve(uint64_t declared, std::string_view cursor,
+                      uint64_t min_bytes) {
+  return static_cast<size_t>(std::min<uint64_t>(declared,
+                                                cursor.size() / min_bytes));
+}
+
 /// Decodes one execution record at *cursor with the strict semantic checks.
 /// On failure *cursor is unspecified; salvage callers snapshot it first.
 Result<Execution> DecodeOneExecution(std::string_view* cursor,
@@ -22,6 +38,7 @@ Result<Execution> DecodeOneExecution(std::string_view* cursor,
   PROCMINE_ASSIGN_OR_RETURN(std::string_view name, GetLengthPrefixed(cursor));
   Execution exec{std::string(name)};
   PROCMINE_ASSIGN_OR_RETURN(uint64_t instance_count, GetVarint64(cursor));
+  exec.Reserve(BoundedReserve(instance_count, *cursor, kMinInstanceBytes));
   int64_t previous_start = 0;
   for (uint64_t i = 0; i < instance_count; ++i) {
     PROCMINE_ASSIGN_OR_RETURN(uint64_t activity, GetVarint64(cursor));
@@ -72,18 +89,20 @@ Result<EventLog> SalvageBinaryLog(std::string_view data,
   std::string_view cursor = data.substr(4);
   auto version = GetVarint64(&cursor);
   if (!version.ok() || *version != kVersion) return strict_error;
-  EventLog log;
+  ActivityDictionary dict;
   auto activity_count = GetVarint64(&cursor);
   if (!activity_count.ok()) return strict_error;
   for (uint64_t i = 0; i < *activity_count; ++i) {
     auto name = GetLengthPrefixed(&cursor);
-    if (!name.ok() ||
-        static_cast<uint64_t>(log.dictionary().Intern(*name)) != i) {
+    if (!name.ok() || static_cast<uint64_t>(dict.Intern(*name)) != i) {
       return strict_error;  // unusable dictionary: ids would be meaningless
     }
   }
   auto execution_count = GetVarint64(&cursor);
   if (!execution_count.ok()) return strict_error;
+  std::vector<Execution> executions;
+  executions.reserve(
+      BoundedReserve(*execution_count, cursor, kMinExecutionBytes));
   Status stop;  // why the greedy loop gave up (OK = decoded them all)
   for (uint64_t e = 0; e < *execution_count; ++e) {
     std::string_view mark = cursor;
@@ -93,8 +112,9 @@ Result<EventLog> SalvageBinaryLog(std::string_view data,
       cursor = mark;  // drop from the start of the bad execution
       break;
     }
-    log.AddExecution(std::move(*exec));
+    executions.push_back(std::move(*exec));
   }
+  EventLog log(std::move(dict), std::move(executions));
 
   if (options.report != nullptr) {
     std::string_view error_class;
@@ -178,28 +198,31 @@ Result<EventLog> DecodeBinaryLog(std::string_view data) {
                   static_cast<unsigned long long>(version)));
   }
 
-  EventLog log;
+  ActivityDictionary dict;
   PROCMINE_ASSIGN_OR_RETURN(uint64_t activity_count, GetVarint64(&cursor));
   for (uint64_t i = 0; i < activity_count; ++i) {
     PROCMINE_ASSIGN_OR_RETURN(std::string_view name,
                               GetLengthPrefixed(&cursor));
-    ActivityId id = log.dictionary().Intern(name);
+    ActivityId id = dict.Intern(name);
     if (static_cast<uint64_t>(id) != i) {
       return Status::InvalidArgument("duplicate activity name in dictionary");
     }
   }
 
   PROCMINE_ASSIGN_OR_RETURN(uint64_t execution_count, GetVarint64(&cursor));
+  std::vector<Execution> executions;
+  executions.reserve(
+      BoundedReserve(execution_count, cursor, kMinExecutionBytes));
   for (uint64_t e = 0; e < execution_count; ++e) {
     PROCMINE_ASSIGN_OR_RETURN(Execution exec,
                               DecodeOneExecution(&cursor, activity_count));
-    log.AddExecution(std::move(exec));
+    executions.push_back(std::move(exec));
   }
   if (!cursor.empty()) {
     return Status::DataLoss(StrFormat(
         "%zu trailing bytes after the last execution", cursor.size()));
   }
-  return log;
+  return EventLog(std::move(dict), std::move(executions));
 }
 
 Result<EventLog> DecodeBinaryLog(std::string_view data,

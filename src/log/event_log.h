@@ -5,6 +5,7 @@
 #define PROCMINE_LOG_EVENT_LOG_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "log/activity_dictionary.h"
@@ -25,6 +26,10 @@ struct ExecutionSpan {
 class EventLog {
  public:
   EventLog() = default;
+
+  /// Takes `executions` whole, with no per-execution move.
+  EventLog(ActivityDictionary dict, std::vector<Execution> executions)
+      : dict_(std::move(dict)), executions_(std::move(executions)) {}
 
   /// Builds a log from compact test notation: one string per execution, one
   /// character per (instantaneous) activity. "ABCE" means A then B then C

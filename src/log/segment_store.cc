@@ -175,11 +175,13 @@ Status DecodeBlockInto(std::string_view block, ActivityId num_activities,
     activities[i] = static_cast<ActivityId>(id);
   }
   std::vector<int64_t> starts(num_instances);
-  int64_t prev = 0;
+  uint64_t prev = 0;
   for (uint64_t i = 0; i < num_instances; ++i) {
     PROCMINE_ASSIGN_OR_RETURN(int64_t delta, GetVarintSigned64(&c));
-    prev += delta;
-    starts[i] = prev;
+    // Summed mod 2^64: a valid chain never wraps, and a hostile delta must
+    // not be signed-overflow UB.
+    prev += static_cast<uint64_t>(delta);
+    starts[i] = static_cast<int64_t>(prev);
   }
   std::vector<int64_t> durations(num_instances);
   for (uint64_t i = 0; i < num_instances; ++i) {
@@ -187,38 +189,49 @@ Status DecodeBlockInto(std::string_view block, ActivityId num_activities,
     if (durations[i] < 0) {
       return Status::DataLoss("negative duration in block");
     }
+    // start + duration must fit: a wrapped end would trip Append's CHECK.
+    if (starts[i] > std::numeric_limits<int64_t>::max() - durations[i]) {
+      return Status::DataLoss("instance end overflows in block");
+    }
   }
   PROCMINE_ASSIGN_OR_RETURN(uint64_t entries, GetVarint64(&c));
   if (entries > num_instances) {
     return Status::DataLoss("more output entries than instances");
   }
-  std::vector<std::vector<int64_t>> outputs(num_instances);
+  // Outputs are sparse, so only the declared entries get storage: (block
+  // ordinal, values) in increasing ordinal order.
+  std::vector<std::pair<uint64_t, std::vector<int64_t>>> outputs(entries);
   uint64_t ord = 0;
   for (uint64_t e = 0; e < entries; ++e) {
     PROCMINE_ASSIGN_OR_RETURN(uint64_t delta, GetVarint64(&c));
-    if (e == 0) {
-      ord = delta;
-    } else {
-      if (delta == 0) return Status::DataLoss("output ordinals not increasing");
-      ord += delta;
+    if (e > 0 && delta == 0) {
+      return Status::DataLoss("output ordinals not increasing");
     }
-    if (ord >= num_instances) {
+    // Compared before adding, so a huge delta cannot wrap the ordinal back
+    // into range (and out of increasing order).
+    const uint64_t base = e == 0 ? 0 : ord;
+    if (delta >= num_instances - base) {
       return Status::DataLoss("output ordinal out of range");
     }
+    ord = base + delta;
     PROCMINE_ASSIGN_OR_RETURN(uint64_t nvals, GetVarint64(&c));
     if (nvals > c.size()) {
       return Status::DataLoss("output values overflow block");
     }
-    outputs[ord].resize(nvals);
+    outputs[e].first = ord;
+    std::vector<int64_t>& values = outputs[e].second;
+    values.resize(nvals);
     for (uint64_t v = 0; v < nvals; ++v) {
-      PROCMINE_ASSIGN_OR_RETURN(outputs[ord][v], GetVarintSigned64(&c));
+      PROCMINE_ASSIGN_OR_RETURN(values[v], GetVarintSigned64(&c));
     }
   }
   if (!c.empty()) return Status::DataLoss("trailing bytes in block");
 
   size_t at = 0;
+  size_t next_output = 0;
   for (uint64_t i = 0; i < num_execs; ++i) {
     Execution exec{std::string(names[i])};
+    exec.Reserve(lens[i]);
     int64_t prev_start = 0;
     for (uint64_t j = 0; j < lens[i]; ++j, ++at) {
       // Execution::Append CHECKs start-time order; a corrupt block must
@@ -227,9 +240,13 @@ Status DecodeBlockInto(std::string_view block, ActivityId num_activities,
         return Status::DataLoss("instance starts out of order in block");
       }
       prev_start = starts[at];
+      std::vector<int64_t> output;
+      if (next_output < outputs.size() && outputs[next_output].first == at) {
+        output = std::move(outputs[next_output++].second);
+      }
       exec.Append(ActivityInstance{activities[at], starts[at],
                                    starts[at] + durations[at],
-                                   std::move(outputs[at])});
+                                   std::move(output)});
     }
     out->push_back(std::move(exec));
   }
@@ -249,6 +266,23 @@ SegmentFooter ReadFooter(std::string_view bytes) {
   out.payload_size = GetFixed32(&footer).ValueOrDie();
   out.crc = GetFixed32(&footer).ValueOrDie();
   return out;
+}
+
+/// The executions that the first `num_blocks` block headers in `blocks`
+/// declare, each capped at its block's byte length (an execution takes at
+/// least two bytes), so the sum never exceeds the segment's size. Stops at
+/// the first unreadable header; the decode proper reports it.
+uint64_t DeclaredExecutions(std::string_view blocks, uint64_t num_blocks) {
+  uint64_t declared = 0;
+  for (uint64_t b = 0; b < num_blocks; ++b) {
+    Result<std::string_view> block = GetLengthPrefixed(&blocks);
+    if (!block.ok()) break;
+    std::string_view header = *block;
+    Result<uint64_t> num_execs = GetVarint64(&header);
+    if (!num_execs.ok()) break;
+    declared += std::min<uint64_t>(*num_execs, block->size());
+  }
+  return declared;
 }
 
 bool HasSegmentMagic(std::string_view bytes) {
@@ -309,6 +343,7 @@ Result<std::vector<Execution>> DecodeSegment(std::string_view bytes,
   std::string_view c = bytes.substr(4, bytes.size() - 4 - kFooterBytes);
   PROCMINE_ASSIGN_OR_RETURN(uint64_t num_blocks, GetVarint64(&c));
   std::vector<Execution> execs;
+  execs.reserve(DeclaredExecutions(c, num_blocks));
   for (uint64_t b = 0; b < num_blocks; ++b) {
     PROCMINE_ASSIGN_OR_RETURN(std::string_view block, GetLengthPrefixed(&c));
     PROCMINE_RETURN_NOT_OK(DecodeBlockInto(block, num_activities, &execs));
@@ -703,16 +738,14 @@ Result<std::shared_ptr<const EventLog>> SegmentStore::Segment(size_t index) {
     }
   }
 
-  auto log = std::make_shared<EventLog>();
-  log->dictionary() = dict_;
   int64_t instances = 0;
-  for (auto& exec : execs) {
+  for (const Execution& exec : execs) {
     instances += static_cast<int64_t>(exec.size());
-    log->AddExecution(std::move(exec));
   }
   const int64_t bytes =
       instances * kDecodedBytesPerInstance +
-      static_cast<int64_t>(log->num_executions()) * kDecodedBytesPerExecution;
+      static_cast<int64_t>(execs.size()) * kDecodedBytesPerExecution;
+  auto log = std::make_shared<EventLog>(dict_, std::move(execs));
 
   ++loads_;
   lru_.push_front(index);
@@ -754,16 +787,25 @@ void SegmentStore::EvictDownTo(int64_t budget_bytes) {
 }
 
 Result<EventLog> SegmentStore::Materialize() {
-  EventLog log;
-  log.dictionary() = dict_;
+  // The manifest's count sizes the log once. It is only a hint, so it is
+  // capped by the segment files' real sizes (an execution takes at least
+  // two bytes on disk) and a hostile manifest cannot force a huge reserve.
+  int64_t file_bytes = 0;
+  for (const SegmentInfo& info : segments_) {
+    struct stat st;
+    const std::string path = dir_ + "/" + info.file;
+    if (::stat(path.c_str(), &st) == 0) file_bytes += st.st_size;
+  }
+  std::vector<Execution> execs;
+  execs.reserve(static_cast<size_t>(
+      std::clamp<int64_t>(total_executions_, 0, file_bytes / 2)));
   for (size_t i = 0; i < segments_.size(); ++i) {
     PROCMINE_ASSIGN_OR_RETURN(std::shared_ptr<const EventLog> window,
                               Segment(i));
-    for (const Execution& exec : window->executions()) {
-      log.AddExecution(exec);
-    }
+    execs.insert(execs.end(), window->executions().begin(),
+                 window->executions().end());
   }
-  return log;
+  return EventLog(dict_, std::move(execs));
 }
 
 SegmentStoreFootprint SegmentStore::Footprint() const {

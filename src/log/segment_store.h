@@ -25,6 +25,12 @@
 // the hot segments resident; everything else lives on disk until touched.
 // The miners iterate these windows and accumulate — models come out
 // byte-identical to the in-memory path (see mine/ooc_miner.h).
+//
+// Window allocation: the execution vector is reserved once from the block
+// headers' declared counts and handed to the window's EventLog whole; each
+// execution gets one instance vector, reserved to its declared length; an
+// instance owns output storage only when its block declares an output
+// entry for it. Block columns are scratch, freed after each block.
 
 #ifndef PROCMINE_LOG_SEGMENT_STORE_H_
 #define PROCMINE_LOG_SEGMENT_STORE_H_

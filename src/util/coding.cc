@@ -25,22 +25,26 @@ void PutLengthPrefixed(std::string* dst, std::string_view bytes) {
   dst->append(bytes);
 }
 
-Result<uint64_t> GetVarint64(std::string_view* cursor) {
+namespace coding_internal {
+
+Result<uint64_t> GetVarint64Slow(std::string_view* cursor) {
   uint64_t value = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (cursor->empty()) return Status::DataLoss("truncated varint");
     uint8_t byte = static_cast<uint8_t>(cursor->front());
     cursor->remove_prefix(1);
+    // The 10th byte carries bit 63 alone; anything above it would be
+    // shifted out and decode to a wrong value.
+    if (shift == 63 && (byte & 0x7f) > 1) {
+      return Status::DataLoss("varint overflows 64 bits");
+    }
     value |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) return value;
   }
   return Status::DataLoss("varint longer than 10 bytes");
 }
 
-Result<int64_t> GetVarintSigned64(std::string_view* cursor) {
-  PROCMINE_ASSIGN_OR_RETURN(uint64_t raw, GetVarint64(cursor));
-  return ZigzagDecode(raw);
-}
+}  // namespace coding_internal
 
 Result<uint32_t> GetFixed32(std::string_view* cursor) {
   if (cursor->size() < 4) return Status::DataLoss("truncated fixed32");

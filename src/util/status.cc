@@ -45,10 +45,7 @@ std::string Status::ToString() const {
   return result;
 }
 
-void Status::Abort() const { Abort(std::string_view()); }
-
-void Status::Abort(std::string_view context) const {
-  if (ok()) return;
+void Status::AbortNow(std::string_view context) const {
   if (context.empty()) {
     std::fprintf(stderr, "procmine: fatal status: %s\n", ToString().c_str());
   } else {

@@ -102,15 +102,22 @@ class Status {
   std::string ToString() const;
 
   /// Aborts the process with the status message if not ok(). For use at
-  /// points where failure is a programming error.
-  void Abort() const;
-  void Abort(std::string_view context) const;
+  /// points where failure is a programming error. The ok() test is inline,
+  /// so unwrapping a successful Result costs no call.
+  void Abort() const {
+    if (!ok()) AbortNow(std::string_view());
+  }
+  void Abort(std::string_view context) const {
+    if (!ok()) AbortNow(context);
+  }
 
   friend bool operator==(const Status& a, const Status& b) {
     return a.code() == b.code() && a.message() == b.message();
   }
 
  private:
+  [[noreturn]] void AbortNow(std::string_view context) const;
+
   struct State {
     StatusCode code;
     std::string message;

@@ -5,6 +5,8 @@
 #include <cstdio>
 
 #include "log/writer.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 #include "workflow/engine.h"
 #include "workflow/process_definition.h"
@@ -133,6 +135,48 @@ TEST(BinaryLogTest, FileRoundTrip) {
 
 TEST(BinaryLogTest, MissingFileIsIOError) {
   EXPECT_TRUE(ReadBinaryLogFile("/nonexistent/x.bin").status().IsIOError());
+}
+
+/// A version-1 log with the one activity "A" whose body ends in `tail`,
+/// under a valid checksum.
+std::string SignedBinaryLog(std::string_view tail) {
+  std::string body;
+  PutVarint64(&body, 1);  // version
+  PutVarint64(&body, 1);  // activity count
+  PutLengthPrefixed(&body, "A");
+  body.append(tail);
+  std::string out("PMLG", 4);
+  out += body;
+  PutFixed32(&out, Crc32c(body));
+  return out;
+}
+
+TEST(BinaryLogTest, HugeDeclaredCountsFailWithoutHugeAllocations) {
+  // 2^40 instances in one execution, then 2^40 executions, each with only
+  // a few bytes left to hold them. Reserving either count as declared
+  // would ask for tens of terabytes and throw std::bad_alloc.
+  std::string huge_instances;
+  PutVarint64(&huge_instances, 1);  // execution count
+  PutLengthPrefixed(&huge_instances, "x");
+  PutVarint64(&huge_instances, 1ull << 40);  // instance count
+  huge_instances.append(3, '\0');
+  std::string huge_executions;
+  PutVarint64(&huge_executions, 1ull << 40);  // execution count
+  PutLengthPrefixed(&huge_executions, "x");
+  PutVarint64(&huge_executions, 0);  // instance count
+  for (const std::string& tail : {huge_instances, huge_executions}) {
+    const std::string data = SignedBinaryLog(tail);
+    auto strict = DecodeBinaryLog(data);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kDataLoss);
+    IngestionReport report;
+    BinaryDecodeOptions options;
+    options.recovery = RecoveryPolicy::kSkip;
+    options.report = &report;
+    auto salvaged = DecodeBinaryLog(data, options);
+    ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
+    EXPECT_EQ(salvaged->num_executions(), tail == huge_executions ? 1u : 0u);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace procmine {
 namespace {
 
@@ -46,6 +48,61 @@ TEST(VarintTest, TruncatedInputFails) {
 TEST(VarintTest, EmptyInputFails) {
   std::string_view cursor;
   EXPECT_FALSE(GetVarint64(&cursor).ok());
+}
+
+TEST(VarintTest, DecodeConsumesExactlyTheEncodedBytes) {
+  // 0 and 127 take the inline one-byte path, 128 and ~0 the multi-byte
+  // loop; each stops at its own last byte and leaves the next one.
+  for (auto [value, length] : {std::pair{0ull, size_t{1}},
+                               std::pair{127ull, size_t{1}},
+                               std::pair{128ull, size_t{2}},
+                               std::pair{~0ull, size_t{10}}}) {
+    std::string buf;
+    PutVarint64(&buf, value);
+    ASSERT_EQ(buf.size(), length) << value;
+    buf.push_back('\x05');
+    std::string_view cursor = buf;
+    auto decoded = GetVarint64(&cursor);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(*decoded, value);
+    EXPECT_EQ(cursor.size(), 1u) << value;
+  }
+}
+
+TEST(VarintTest, TenthByteAboveOneOverflows) {
+  // Nine continuation bytes carry bits 0..62; a 10th byte of 2 would set
+  // bit 64, which a 64-bit value cannot hold.
+  std::string buf(9, '\x80');
+  buf.push_back('\x02');
+  std::string_view cursor = buf;
+  auto decoded = GetVarint64(&cursor);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decoded.status().message(), "varint overflows 64 bits");
+}
+
+TEST(VarintTest, ElevenByteVarintFails) {
+  std::string buf(9, '\x80');
+  buf.push_back('\x81');  // bit 63, and a continuation into an 11th byte
+  buf.push_back('\x00');
+  std::string_view cursor = buf;
+  auto decoded = GetVarint64(&cursor);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decoded.status().message(), "varint longer than 10 bytes");
+}
+
+TEST(VarintTest, TruncatedMultiByteVarintFails) {
+  for (uint64_t value : {128ull, 1ull << 40, ~0ull}) {
+    std::string buf;
+    PutVarint64(&buf, value);
+    for (size_t keep = 1; keep < buf.size(); ++keep) {
+      std::string_view cursor = std::string_view(buf).substr(0, keep);
+      auto decoded = GetVarint64(&cursor);
+      ASSERT_FALSE(decoded.ok()) << value << " kept " << keep;
+      EXPECT_EQ(decoded.status().message(), "truncated varint");
+    }
+  }
 }
 
 TEST(ZigzagTest, MapsSmallMagnitudesToSmallCodes) {

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -306,6 +307,290 @@ TEST(SegmentCodecTest, RejectsInstanceCountsThatWrapTheBlockTotal) {
   auto salvage = segment_internal::SalvageSegment(seg, 3);
   EXPECT_FALSE(salvage.clean);
   EXPECT_TRUE(salvage.executions.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The block decoder behind a valid checksum: corruptions whose crc32c is
+// recomputed reach the decoder itself, which must agree with a slow
+// field-by-field reference.
+
+/// Reads one block the plain way: every column field by field with the
+/// format's rules spelled out, no reserves and no early size bounds.
+/// nullopt when the block breaks a rule.
+std::optional<std::vector<Execution>> ReferenceDecodeBlock(
+    std::string_view c, ActivityId num_activities) {
+  auto next = [&c]() -> std::optional<uint64_t> {
+    Result<uint64_t> v = GetVarint64(&c);
+    if (!v.ok()) return std::nullopt;
+    return *v;
+  };
+  auto next_signed = [&c]() -> std::optional<int64_t> {
+    Result<int64_t> v = GetVarintSigned64(&c);
+    if (!v.ok()) return std::nullopt;
+    return *v;
+  };
+  const std::optional<uint64_t> num_execs = next();
+  if (!num_execs) return std::nullopt;
+  const std::optional<uint64_t> num_instances = next();
+  if (!num_instances) return std::nullopt;
+  std::vector<std::string> names;
+  for (uint64_t i = 0; i < *num_execs; ++i) {
+    Result<std::string_view> name = GetLengthPrefixed(&c);
+    if (!name.ok()) return std::nullopt;
+    names.emplace_back(*name);
+  }
+  std::vector<uint64_t> lens;
+  unsigned __int128 total = 0;
+  for (uint64_t i = 0; i < *num_execs; ++i) {
+    const std::optional<uint64_t> len = next();
+    if (!len) return std::nullopt;
+    lens.push_back(*len);
+    total += *len;
+  }
+  if (total != *num_instances) return std::nullopt;
+  std::vector<ActivityInstance> instances;
+  for (uint64_t i = 0; i < *num_instances; ++i) {
+    const std::optional<uint64_t> id = next();
+    if (!id || *id >= static_cast<uint64_t>(num_activities)) {
+      return std::nullopt;
+    }
+    instances.push_back({static_cast<ActivityId>(*id), 0, 0, {}});
+  }
+  uint64_t start = 0;  // the delta chain wraps mod 2^64
+  for (ActivityInstance& inst : instances) {
+    const std::optional<int64_t> delta = next_signed();
+    if (!delta) return std::nullopt;
+    start += static_cast<uint64_t>(*delta);
+    inst.start = static_cast<int64_t>(start);
+  }
+  for (ActivityInstance& inst : instances) {
+    const std::optional<int64_t> duration = next_signed();
+    if (!duration || *duration < 0 ||
+        __builtin_add_overflow(inst.start, *duration, &inst.end)) {
+      return std::nullopt;
+    }
+  }
+  const std::optional<uint64_t> entries = next();
+  if (!entries) return std::nullopt;
+  uint64_t ord = 0;
+  for (uint64_t e = 0; e < *entries; ++e) {
+    const std::optional<uint64_t> delta = next();
+    if (!delta) return std::nullopt;
+    uint64_t this_ord = *delta;
+    if (e > 0 && (__builtin_add_overflow(ord, *delta, &this_ord) ||
+                  this_ord <= ord)) {
+      return std::nullopt;  // ordinals must strictly increase
+    }
+    ord = this_ord;
+    if (ord >= instances.size()) return std::nullopt;
+    const std::optional<uint64_t> count = next();
+    if (!count) return std::nullopt;
+    for (uint64_t v = 0; v < *count; ++v) {
+      const std::optional<int64_t> value = next_signed();
+      if (!value) return std::nullopt;
+      instances[ord].output.push_back(*value);
+    }
+  }
+  if (!c.empty()) return std::nullopt;
+  std::vector<Execution> out;
+  size_t at = 0;
+  for (uint64_t i = 0; i < *num_execs; ++i) {
+    Execution exec(names[i]);
+    for (uint64_t j = 0; j < lens[i]; ++j, ++at) {
+      if (j > 0 && instances[at].start < instances[at - 1].start) {
+        return std::nullopt;
+      }
+      exec.Append(instances[at]);
+    }
+    out.push_back(std::move(exec));
+  }
+  return out;
+}
+
+/// The executions of every block before the first bad one, and whether
+/// the whole payload decodes (every declared block, no trailing bytes).
+struct ReferenceSegment {
+  std::vector<Execution> prefix;
+  bool ok = false;
+};
+
+ReferenceSegment ReferenceDecodeSegment(std::string_view payload,
+                                        ActivityId num_activities) {
+  ReferenceSegment out;
+  Result<uint64_t> num_blocks = GetVarint64(&payload);
+  if (!num_blocks.ok()) return out;
+  for (uint64_t b = 0; b < *num_blocks; ++b) {
+    Result<std::string_view> block = GetLengthPrefixed(&payload);
+    if (!block.ok()) return out;
+    std::optional<std::vector<Execution>> execs =
+        ReferenceDecodeBlock(*block, num_activities);
+    if (!execs) return out;
+    out.prefix.insert(out.prefix.end(), execs->begin(), execs->end());
+  }
+  out.ok = payload.empty();
+  return out;
+}
+
+/// Magic + `payload` + a footer whose size and crc32c match the payload.
+std::string SealSegment(std::string_view payload) {
+  std::string seg("PMS1", 4);
+  seg.append(payload);
+  PutFixed32(&seg, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&seg, Crc32c(payload));
+  return seg;
+}
+
+void ExpectExecutionsEqual(const std::vector<Execution>& want,
+                           const std::vector<Execution>& got) {
+  ExpectLogsEqual(EventLog(ActivityDictionary(), want),
+                  EventLog(ActivityDictionary(), got));
+}
+
+/// Strict decode returns DataLoss or exactly the reference's log; salvage
+/// never aborts and keeps exactly the reference's clean-block prefix.
+void ExpectDecodersMatchReference(const std::string& segment,
+                                  ActivityId num_activities) {
+  const ReferenceSegment ref = ReferenceDecodeSegment(
+      std::string_view(segment).substr(4, segment.size() - 12),
+      num_activities);
+  auto strict = segment_internal::DecodeSegment(segment, num_activities);
+  if (ref.ok) {
+    ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+    ExpectExecutionsEqual(ref.prefix, *strict);
+  } else {
+    ASSERT_FALSE(strict.ok()) << "decoded a segment the reference rejects";
+    EXPECT_EQ(strict.status().code(), StatusCode::kDataLoss);
+  }
+  auto salvage = segment_internal::SalvageSegment(segment, num_activities);
+  EXPECT_EQ(salvage.clean, ref.ok);
+  ExpectExecutionsEqual(ref.prefix, salvage.executions);
+}
+
+/// Nine executions in blocks of three over activities {0, 1, 2}. Block 0
+/// has an output on its first instance (ordinal 0) and block 1 on its last
+/// instance; block 2 has none. Multi-byte starts and outputs give the
+/// corruptions varint continuations to hit.
+std::vector<Execution> MixedOutputExecs() {
+  std::vector<Execution> execs;
+  auto add = [&execs](std::string name,
+                      std::vector<ActivityInstance> instances) {
+    Execution exec(std::move(name));
+    for (ActivityInstance& inst : instances) exec.Append(std::move(inst));
+    execs.push_back(std::move(exec));
+  };
+  add("a", {{0, 0, 1, {7}}, {1, 2, 4, {}}});
+  add("bb", {{2, 5, 5, {}}});
+  add("", {});
+  add("c", {{0, 100000, 100002, {}}, {1, 100001, 100300, {-3, 300}}});
+  add("d", {{2, -4, 0, {}}, {0, 0, 1, {}}});
+  add("e", {{1, 1, 2, {0, 1000000}}});
+  add("f", {{0, 3, 3, {}}, {2, 9, 200, {}}});
+  add("g", {{1, -70000, -69999, {}}});
+  add("h", {});
+  return execs;
+}
+
+TEST(SegmentCodecTest, BlockDecoderMatchesReferenceBehindValidChecksum) {
+  const std::vector<Execution> execs = MixedOutputExecs();
+  const std::string bytes = segment_internal::EncodeSegment(execs, 3);
+  {
+    auto decoded = segment_internal::DecodeSegment(bytes, 3);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ExpectExecutionsEqual(execs, *decoded);
+    ExpectDecodersMatchReference(bytes, 3);
+  }
+  const std::string payload = bytes.substr(4, bytes.size() - 12);
+
+  // Every payload byte under every single-bit flip and an all-bits flip.
+  for (size_t i = 0; i < payload.size(); ++i) {
+    for (int mask : {0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff}) {
+      std::string flipped = payload;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      SCOPED_TRACE(StrFormat("payload byte %zu ^ 0x%02x", i, mask));
+      ExpectDecodersMatchReference(SealSegment(flipped), 3);
+    }
+  }
+
+  // Every block cut at every shorter length, its length prefix fixed up.
+  std::string_view c = payload;
+  const uint64_t num_blocks = *GetVarint64(&c);
+  std::vector<std::string_view> blocks;
+  for (uint64_t b = 0; b < num_blocks; ++b) {
+    blocks.push_back(*GetLengthPrefixed(&c));
+  }
+  ASSERT_EQ(blocks.size(), 3u);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    for (size_t keep = 0; keep < blocks[b].size(); ++keep) {
+      std::string cut;
+      PutVarint64(&cut, num_blocks);
+      for (size_t k = 0; k < blocks.size(); ++k) {
+        PutLengthPrefixed(&cut, k == b ? blocks[k].substr(0, keep) : blocks[k]);
+      }
+      SCOPED_TRACE(StrFormat("block %zu cut to %zu bytes", b, keep));
+      ExpectDecodersMatchReference(SealSegment(cut), 3);
+    }
+  }
+}
+
+/// A one-block payload around `block`.
+std::string OneBlockSegment(std::string_view block) {
+  std::string payload;
+  PutVarint64(&payload, 1);
+  PutLengthPrefixed(&payload, block);
+  return SealSegment(payload);
+}
+
+TEST(SegmentCodecTest, RejectsOutputOrdinalsThatWrap) {
+  // Ordinal 1, then a delta of 2^64 - 1 that wraps the ordinal to 0: back
+  // in range, but not increasing.
+  std::string block;
+  PutVarint64(&block, 1);  // num_execs
+  PutVarint64(&block, 2);  // num_instances
+  PutLengthPrefixed(&block, "a");
+  PutVarint64(&block, 2);  // lens[0]
+  PutVarint64(&block, 0);  // activities
+  PutVarint64(&block, 1);
+  PutVarintSigned64(&block, 0);  // start deltas
+  PutVarintSigned64(&block, 0);
+  PutVarintSigned64(&block, 0);  // durations
+  PutVarintSigned64(&block, 0);
+  PutVarint64(&block, 2);  // output entries
+  PutVarint64(&block, 1);  // ordinal 1
+  PutVarint64(&block, 1);
+  PutVarintSigned64(&block, 7);
+  PutVarint64(&block, UINT64_MAX);  // wraps to ordinal 0
+  PutVarint64(&block, 1);
+  PutVarintSigned64(&block, 8);
+  const std::string seg = OneBlockSegment(block);
+
+  auto decoded = segment_internal::DecodeSegment(seg, 2);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decoded.status().message(), "output ordinal out of range");
+  ExpectDecodersMatchReference(seg, 2);
+}
+
+TEST(SegmentCodecTest, RejectsInstanceEndsThatOverflow) {
+  // start = INT64_MAX and duration 1: the end does not fit in int64 and a
+  // wrapped one would trip Execution::Append's CHECK.
+  std::string block;
+  PutVarint64(&block, 1);  // num_execs
+  PutVarint64(&block, 1);  // num_instances
+  PutLengthPrefixed(&block, "a");
+  PutVarint64(&block, 1);  // lens[0]
+  PutVarint64(&block, 0);  // activity
+  PutVarintSigned64(&block, INT64_MAX);  // start delta
+  PutVarintSigned64(&block, 1);          // duration
+  PutVarint64(&block, 0);                // output entries
+  const std::string seg = OneBlockSegment(block);
+
+  auto decoded = segment_internal::DecodeSegment(seg, 1);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  auto salvage = segment_internal::SalvageSegment(seg, 1);
+  EXPECT_FALSE(salvage.clean);
+  EXPECT_TRUE(salvage.executions.empty());
+  ExpectDecodersMatchReference(seg, 1);
 }
 
 TEST(SegmentCodecTest, SalvageOfCleanSegmentIsLossless) {
