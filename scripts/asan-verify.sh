@@ -21,9 +21,15 @@
 # pass behind the log relations and the noise estimate (its property test
 # against the legacy passes, and the epsilon tests), and the open-
 # addressing name index every text front end interns through, and the
-# varint/fixed32 primitives every binary decoder reads through. Run whenever
+# varint/fixed32 primitives every binary decoder reads through, and the
+# sparse per-execution outputs list: its instance indexes are walked by
+# every format's encoder and decoder and by every path that reorders,
+# drops or copies instances (the outputs property test, plus the execution,
+# event log, XES, engine and condition miner suites). Run whenever
 # src/util/coding, src/log/segment_store, src/log/reader, src/log/text_line,
 # src/log/streaming_reader, src/log/event_assembly, src/log/name_index,
+# src/log/execution, src/log/xes, src/log/transform, src/workflow/engine,
+# src/synth/noise_injector, src/mine/condition_miner,
 # src/mine/pipeline, src/mine/ooc_miner, src/mine/relations,
 # src/mine/noise, src/obs/telemetry, src/serve/,
 # util/id_set_table, util/bit_matrix, or the binary-log salvage path
@@ -50,7 +56,9 @@ cmake --build "$BUILD_DIR" -j \
            name_index_test coding_test \
            bit_matrix_test transitive_reduction_test graph_algorithms_test \
            reduce_activity_sets_test relations_test conformance_test \
-           relations_property_test noise_estimate_test
+           relations_property_test noise_estimate_test \
+           output_property_test execution_test event_log_test xes_test \
+           engine_test condition_miner_test
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Format(Garbage|RoundTrip|Sizes)|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest|IngestEquivalence|StreamingReader|NameIndex|LogReader|LogWriter|BitsKernel|BitMatrix|TransitiveReduction|Reachability|ReduceActivitySets|Relations|EstimateNoiseRate|SuggestNoiseThreshold|Conformance|Varint|Zigzag|Fixed32|LengthPrefixed|CodingTest'
+  -R 'SegmentStore|SegmentCodec|OocIdentity|BinaryLog|RecoveryMatrix|BinarySalvage|StreamingRecovery|RecoveryPolicy|Format(Garbage|RoundTrip|Sizes)|RunBudget|Telemetry|Serve|IdSetTable|MinerTest|MinerPropertyTest|IngestEquivalence|StreamingReader|NameIndex|LogReader|LogWriter|BitsKernel|BitMatrix|TransitiveReduction|Reachability|ReduceActivitySets|Relations|EstimateNoiseRate|SuggestNoiseThreshold|Conformance|Varint|Zigzag|Fixed32|LengthPrefixed|CodingTest|OutputProperty|Execution(Death)?Test|EventLogTest|XesTest|EngineTest|ConditionMinerTest'

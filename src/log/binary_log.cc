@@ -1,6 +1,7 @@
 #include "log/binary_log.h"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -40,6 +41,7 @@ Result<Execution> DecodeOneExecution(std::string_view* cursor,
   PROCMINE_ASSIGN_OR_RETURN(uint64_t instance_count, GetVarint64(cursor));
   exec.Reserve(BoundedReserve(instance_count, *cursor, kMinInstanceBytes));
   int64_t previous_start = 0;
+  std::vector<int64_t> output;
   for (uint64_t i = 0; i < instance_count; ++i) {
     PROCMINE_ASSIGN_OR_RETURN(uint64_t activity, GetVarint64(cursor));
     if (activity >= activity_count) {
@@ -62,12 +64,11 @@ Result<Execution> DecodeOneExecution(std::string_view* cursor,
     if (output_count > cursor->size()) {  // cheap sanity before allocating
       return Status::DataLoss("output count exceeds remaining input");
     }
-    inst.output.reserve(output_count);
+    output.resize(output_count);
     for (uint64_t o = 0; o < output_count; ++o) {
-      PROCMINE_ASSIGN_OR_RETURN(int64_t value, GetVarintSigned64(cursor));
-      inst.output.push_back(value);
+      PROCMINE_ASSIGN_OR_RETURN(output[o], GetVarintSigned64(cursor));
     }
-    exec.Append(std::move(inst));
+    exec.Append(inst, output);
   }
   return exec;
 }
@@ -160,13 +161,15 @@ std::string EncodeBinaryLog(const EventLog& log) {
     PutLengthPrefixed(&body, exec.name());
     PutVarint64(&body, exec.size());
     int64_t previous_start = 0;
-    for (const ActivityInstance& inst : exec.instances()) {
+    for (size_t i = 0; i < exec.size(); ++i) {
+      const ActivityInstance& inst = exec[i];
       PutVarint64(&body, static_cast<uint64_t>(inst.activity));
       PutVarintSigned64(&body, inst.start - previous_start);
       previous_start = inst.start;
       PutVarint64(&body, static_cast<uint64_t>(inst.end - inst.start));
-      PutVarint64(&body, inst.output.size());
-      for (int64_t value : inst.output) PutVarintSigned64(&body, value);
+      const std::span<const int64_t> output = exec.output(i);
+      PutVarint64(&body, output.size());
+      for (int64_t value : output) PutVarintSigned64(&body, value);
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "obs/trace.h"
 #include "util/strings.h"
@@ -48,16 +49,16 @@ Result<bool> InstancePairer::Pair(std::string_view instance_name,
     if (x.timestamp != y.timestamp) return x.timestamp < y.timestamp;
     // START before END at equal timestamps, so an instantaneous activity
     // pairs with itself.
-    return x.type < y.type;
+    return x.is_end < y.is_end;
   });
 
-  instances_.clear();
+  paired_.clear();
   std::string_view fail_class;  // empty = this instance paired cleanly
   std::string fail_detail;
   for (size_t seq = 0; seq < order->size(); ++seq) {
     const CompactEvent& e = batch.events[(*order)[seq]];
     OpenStarts& fifo = open_[static_cast<size_t>(e.activity)];
-    if (e.type == EventType::kStart) {
+    if (e.type() == EventType::kStart) {
       if (fifo.queue.empty()) touched_.push_back(e.activity);
       fifo.queue.push_back({e.timestamp, seq});
       continue;
@@ -71,13 +72,10 @@ Result<bool> InstancePairer::Pair(std::string_view instance_name,
               .c_str());
       break;
     }
-    ActivityInstance inst;
-    inst.activity = e.activity;  // batch id; remapped below
-    inst.start = fifo.queue[fifo.head++].timestamp;
-    inst.end = e.timestamp;
-    inst.output.assign(batch.outputs.begin() + e.output_begin,
-                       batch.outputs.begin() + e.output_begin + e.output_count);
-    instances_.push_back(std::move(inst));
+    paired_.push_back(Paired{
+        ActivityInstance{e.activity,  // batch id; remapped below
+                         fifo.queue[fifo.head++].timestamp, e.timestamp},
+        e.output_begin, e.output_count});
   }
   if (fail_class.empty()) {
     // Report the earliest START (in time-sorted order) left unmatched.
@@ -127,21 +125,25 @@ Result<bool> InstancePairer::Pair(std::string_view instance_name,
   // Activity interning is deferred until the instance pairs, so dictionary
   // ids are assigned in pairing order. temp_to_final_ memoizes one Intern
   // per distinct activity.
-  for (ActivityInstance& inst : instances_) {
-    ActivityId& final_id = temp_to_final_[static_cast<size_t>(inst.activity)];
+  for (Paired& p : paired_) {
+    ActivityId& final_id =
+        temp_to_final_[static_cast<size_t>(p.instance.activity)];
     if (final_id < 0) {
       final_id = dict_->Intern(
-          batch.activity_names[static_cast<size_t>(inst.activity)]);
+          batch.activity_names[static_cast<size_t>(p.instance.activity)]);
     }
-    inst.activity = final_id;
+    p.instance.activity = final_id;
   }
-  StableSortSmall(&instances_,
-                  [](const ActivityInstance& a, const ActivityInstance& b) {
-                    return a.start < b.start;
-                  });
+  StableSortSmall(&paired_, [](const Paired& a, const Paired& b) {
+    return a.instance.start < b.instance.start;
+  });
   *exec = Execution(std::string(instance_name));
-  exec->Reserve(instances_.size());
-  for (ActivityInstance& inst : instances_) exec->Append(std::move(inst));
+  exec->Reserve(paired_.size());
+  for (const Paired& p : paired_) {
+    exec->Append(p.instance,
+                 std::span<const int64_t>(
+                     batch.outputs.data() + p.output_begin, p.output_count));
+  }
   return true;
 }
 
@@ -184,8 +186,10 @@ Result<EventLog> AssembleEventLog(const CompactEventBatch& batch,
     std::sort(by_name.begin(), by_name.end(), name_less);
   }
 
-  EventLog log;
-  InstancePairer pairer(&batch, &log.dictionary());
+  ActivityDictionary dict;
+  std::vector<Execution> executions;
+  executions.reserve(num_instances);
+  InstancePairer pairer(&batch, &dict);
   std::vector<uint32_t> order;  // one instance's events
   for (int32_t inst_id : by_name) {
     const uint32_t begin = group_begin[static_cast<size_t>(inst_id)];
@@ -197,9 +201,9 @@ Result<EventLog> AssembleEventLog(const CompactEventBatch& batch,
         bool kept,
         pairer.Pair(batch.instance_names[static_cast<size_t>(inst_id)],
                     &order, recovery, &exec));
-    if (kept) log.AddExecution(std::move(exec));
+    if (kept) executions.push_back(std::move(exec));
   }
-  return log;
+  return EventLog(std::move(dict), std::move(executions));
 }
 
 }  // namespace procmine

@@ -30,17 +30,24 @@
 namespace procmine {
 
 /// One parsed event with every string replaced by a table index and outputs
-/// referenced in a shared pool: 32 bytes (the int64 timestamp aligns the
-/// record) instead of two heap strings and an output vector.
+/// referenced in a shared pool: 24 bytes instead of two heap strings and an
+/// output vector. The event type takes the top bit of the instance index's
+/// word, whose 31 bits cover every non-negative int32 a NameIndex hands out;
+/// the output reference keeps its two full 32-bit words.
 struct CompactEvent {
-  int32_t instance = -1;      ///< index into CompactEventBatch::instance_names
-  int32_t activity = -1;      ///< index into CompactEventBatch::activity_names
-  EventType type = EventType::kStart;
+  uint32_t instance : 31 = 0;  ///< index into CompactEventBatch::instance_names
+  uint32_t is_end : 1 = 0;     ///< 1 for an END event, 0 for a START
+  int32_t activity = -1;       ///< index into CompactEventBatch::activity_names
   int64_t timestamp = 0;
-  uint32_t output_begin = 0;  ///< first output value in the pool
+  uint32_t output_begin = 0;   ///< first output value in the pool
   uint32_t output_count = 0;
+
+  EventType type() const {
+    return is_end != 0 ? EventType::kEnd : EventType::kStart;
+  }
+  void set_type(EventType type) { is_end = type == EventType::kEnd; }
 };
-static_assert(sizeof(CompactEvent) == 32);
+static_assert(sizeof(CompactEvent) == 24);
 
 /// A batch of compact events in log order, with borrowed name tables.
 struct CompactEventBatch {
@@ -99,7 +106,13 @@ class InstancePairer {
   std::vector<ActivityId> temp_to_final_;  // batch activity -> dict id
   std::vector<OpenStarts> open_;           // by batch activity
   std::vector<int32_t> touched_;           // activities with a used queue
-  std::vector<ActivityInstance> instances_;
+  /// A paired instance and the pooled outputs of its END event.
+  struct Paired {
+    ActivityInstance instance;
+    uint32_t output_begin;
+    uint32_t output_count;
+  };
+  std::vector<Paired> paired_;
 };
 
 /// Assembles a batch into an EventLog: groups events by process instance,

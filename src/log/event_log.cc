@@ -1,6 +1,7 @@
 #include "log/event_log.h"
 
 #include <algorithm>
+#include <span>
 #include <string_view>
 
 #include "log/event_assembly.h"
@@ -47,7 +48,7 @@ Result<EventLog> EventLog::FromEvents(const std::vector<Event>& events) {
     CompactEvent compact;
     compact.instance = instance_ids.Intern(e.process_instance);
     compact.activity = activity_ids.Intern(e.activity);
-    compact.type = e.type;
+    compact.set_type(e.type);
     compact.timestamp = e.timestamp;
     compact.output_begin = static_cast<uint32_t>(batch.outputs.size());
     compact.output_count = static_cast<uint32_t>(e.output.size());
@@ -99,12 +100,14 @@ std::vector<Event> EventLog::ToEvents() const {
   for (const Execution& exec : executions_) {
     // Emit START/END pairs; merge-order by timestamp within the execution.
     std::vector<Event> local;
-    for (const ActivityInstance& inst : exec.instances()) {
+    for (size_t i = 0; i < exec.size(); ++i) {
+      const ActivityInstance& inst = exec[i];
       const std::string& name = dict_.Name(inst.activity);
       local.push_back(Event{exec.name(), name, EventType::kStart, inst.start,
                             {}});
-      local.push_back(
-          Event{exec.name(), name, EventType::kEnd, inst.end, inst.output});
+      const std::span<const int64_t> output = exec.output(i);
+      local.push_back(Event{exec.name(), name, EventType::kEnd, inst.end,
+                            {output.begin(), output.end()}});
     }
     std::stable_sort(local.begin(), local.end(),
                      [](const Event& a, const Event& b) {

@@ -1,6 +1,6 @@
 #include "log/execution.h"
 
-#include "util/logging.h"
+#include <algorithm>
 
 namespace procmine {
 
@@ -9,19 +9,18 @@ Execution Execution::FromSequence(std::string name,
   Execution exec(std::move(name));
   int64_t t = 0;
   for (ActivityId a : sequence) {
-    exec.Append(ActivityInstance{a, t, t, {}});
+    exec.Append(ActivityInstance{a, t, t});
     ++t;
   }
   return exec;
 }
 
-void Execution::Append(ActivityInstance instance) {
-  PROCMINE_CHECK_GE(instance.activity, 0);
-  PROCMINE_CHECK_LE(instance.start, instance.end);
-  if (!instances_.empty()) {
-    PROCMINE_CHECK_LE(instances_.back().start, instance.start);
-  }
-  instances_.push_back(std::move(instance));
+std::span<const int64_t> Execution::output(size_t i) const {
+  auto it = std::lower_bound(
+      outputs_.begin(), outputs_.end(), i,
+      [](const InstanceOutput& o, size_t index) { return o.instance < index; });
+  if (it == outputs_.end() || it->instance != i) return {};
+  return it->values;
 }
 
 std::vector<ActivityId> Execution::Sequence() const {

@@ -77,7 +77,7 @@ void ParseShard(std::string_view chunk, RecoveryPolicy policy,
   // One event per 16 bytes over-counts every realistic log (written logs
   // run about 25 bytes a line), and reserved pages that are never written
   // cost address space, not memory. A low guess regrows the vector: a copy
-  // of every event so far and, on a 30 MB log, some 25 MiB more peak RSS.
+  // of every event so far and, on a 30 MB log, some 19 MiB more peak RSS.
   r->events.reserve(chunk.size() / 16 + 1);
   NameIndex instance_ids(&r->instance_names);
   NameIndex activity_ids(&r->activity_names);

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -33,10 +34,31 @@ constexpr int kManifestSchemaVersion = 1;
 
 // Decoded-size model for the resident cache and compression accounting:
 // what one instance / one execution costs once expanded into an EventLog.
+// It errs high: an execution is also charged 48 bytes of heap beyond its
+// inline object, enough for the allocator's header and rounding on its
+// instance array plus a name too long for the inline string buffer.
 constexpr int64_t kDecodedBytesPerInstance =
     static_cast<int64_t>(sizeof(ActivityInstance));
 constexpr int64_t kDecodedBytesPerExecution =
-    static_cast<int64_t>(sizeof(Execution)) + 48;  // + small-string heap
+    static_cast<int64_t>(sizeof(Execution)) + 48;
+
+/// The model's bytes for `instances` instances in `executions` executions,
+/// saturating at INT64_MAX and treating negative counts as 0: manifest
+/// counts carry no checksum.
+int64_t DecodedBytes(int64_t instances, int64_t executions) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  instances = std::max<int64_t>(instances, 0);
+  executions = std::max<int64_t>(executions, 0);
+  if (instances > kMax / kDecodedBytesPerInstance ||
+      executions > kMax / kDecodedBytesPerExecution) {
+    return kMax;
+  }
+  const int64_t instance_bytes = instances * kDecodedBytesPerInstance;
+  const int64_t execution_bytes = executions * kDecodedBytesPerExecution;
+  return instance_bytes > kMax - execution_bytes
+             ? kMax
+             : instance_bytes + execution_bytes;
+}
 
 Status MakeDirs(const std::string& dir) {
   if (dir.empty()) return Status::InvalidArgument("empty store directory");
@@ -102,26 +124,21 @@ void EncodeBlock(const std::vector<Execution>& execs, size_t begin, size_t end,
   // Outputs are sparse: (ordinal-delta, count, values) per instance that
   // has any, where ordinals index instances within the block.
   uint64_t entries = 0;
-  for (size_t i = begin; i < end; ++i) {
-    for (const auto& inst : execs[i].instances()) {
-      entries += !inst.output.empty();
-    }
-  }
+  for (size_t i = begin; i < end; ++i) entries += execs[i].outputs().size();
   PutVarint64(&b, entries);
-  uint64_t ord = 0;
+  uint64_t first_ord = 0;  // block ordinal of execs[i]'s first instance
   uint64_t prev_ord = 0;
   bool first = true;
   for (size_t i = begin; i < end; ++i) {
-    for (const auto& inst : execs[i].instances()) {
-      if (!inst.output.empty()) {
-        PutVarint64(&b, first ? ord : ord - prev_ord);
-        first = false;
-        prev_ord = ord;
-        PutVarint64(&b, inst.output.size());
-        for (int64_t v : inst.output) PutVarintSigned64(&b, v);
-      }
-      ++ord;
+    for (const InstanceOutput& o : execs[i].outputs()) {
+      const uint64_t ord = first_ord + o.instance;
+      PutVarint64(&b, first ? ord : ord - prev_ord);
+      first = false;
+      prev_ord = ord;
+      PutVarint64(&b, o.values.size());
+      for (int64_t v : o.values) PutVarintSigned64(&b, v);
     }
+    first_ord += execs[i].size();
   }
   PutLengthPrefixed(out, b);
 }
@@ -240,13 +257,13 @@ Status DecodeBlockInto(std::string_view block, ActivityId num_activities,
         return Status::DataLoss("instance starts out of order in block");
       }
       prev_start = starts[at];
-      std::vector<int64_t> output;
+      std::span<const int64_t> output;
       if (next_output < outputs.size() && outputs[next_output].first == at) {
-        output = std::move(outputs[next_output++].second);
+        output = outputs[next_output++].second;
       }
       exec.Append(ActivityInstance{activities[at], starts[at],
-                                   starts[at] + durations[at],
-                                   std::move(output)});
+                                   starts[at] + durations[at]},
+                  output);
     }
     out->push_back(std::move(exec));
   }
@@ -466,8 +483,9 @@ Status SegmentedLogWriter::Append(const Execution& exec,
   if (remap_.size() < static_cast<size_t>(dict.size())) {
     remap_.resize(static_cast<size_t>(dict.size()), -1);
   }
-  Execution copy{exec.name()};
-  for (const auto& inst : exec.instances()) {
+  Execution copy = exec;
+  for (size_t i = 0; i < exec.size(); ++i) {
+    const ActivityInstance& inst = exec[i];
     ActivityId& mapped = remap_[static_cast<size_t>(inst.activity)];
     if (mapped >= 0 && dict.Name(inst.activity) != dict_.Name(mapped)) {
       // The remap cache is keyed on the source dictionary's address, which
@@ -477,7 +495,7 @@ Status SegmentedLogWriter::Append(const Execution& exec,
       std::fill(remap_.begin(), remap_.end(), static_cast<ActivityId>(-1));
     }
     if (mapped < 0) mapped = dict_.Intern(dict.Name(inst.activity));
-    copy.Append(ActivityInstance{mapped, inst.start, inst.end, inst.output});
+    copy.Relabel(i, mapped);
   }
   pending_events_ += 2 * static_cast<int64_t>(exec.size());
   total_events_ += 2 * static_cast<int64_t>(exec.size());
@@ -660,6 +678,13 @@ Result<std::shared_ptr<const EventLog>> SegmentStore::Segment(size_t index) {
   const bool timed = obs::MetricsEnabled();
   StopWatch decode_watch;
   const SegmentInfo& info = segments_[index];
+  // Make room first, so the cache and the segment being decoded stay under
+  // the bound together. The manifest's counts estimate the segment; one
+  // that alone exceeds the bound still stays resident once decoded.
+  const int64_t estimate = DecodedBytes(info.events / 2, info.executions);
+  EvictDownTo(options_.max_resident_bytes -
+                  std::min(options_.max_resident_bytes, estimate),
+              0);
   const std::string path = dir_ + "/" + info.file;
   std::vector<Execution> execs;
   Result<MappedFile> file = MappedFile::Open(path);
@@ -743,8 +768,7 @@ Result<std::shared_ptr<const EventLog>> SegmentStore::Segment(size_t index) {
     instances += static_cast<int64_t>(exec.size());
   }
   const int64_t bytes =
-      instances * kDecodedBytesPerInstance +
-      static_cast<int64_t>(execs.size()) * kDecodedBytesPerExecution;
+      DecodedBytes(instances, static_cast<int64_t>(execs.size()));
   auto log = std::make_shared<EventLog>(dict_, std::move(execs));
 
   ++loads_;
@@ -753,7 +777,7 @@ Result<std::shared_ptr<const EventLog>> SegmentStore::Segment(size_t index) {
   resident_[index] = Resident{shared, bytes, lru_.begin()};
   resident_bytes_ += bytes;
   peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
-  EvictDownTo(options_.max_resident_bytes);
+  EvictDownTo(options_.max_resident_bytes, 1);
 
   static obs::Counter* loads =
       obs::MetricsRegistry::Get().GetCounter("segment.loads");
@@ -772,10 +796,10 @@ Result<std::shared_ptr<const EventLog>> SegmentStore::Segment(size_t index) {
   return shared;
 }
 
-void SegmentStore::EvictDownTo(int64_t budget_bytes) {
+void SegmentStore::EvictDownTo(int64_t budget_bytes, size_t keep) {
   static obs::Counter* evictions =
       obs::MetricsRegistry::Get().GetCounter("segment.evictions");
-  while (resident_bytes_ > budget_bytes && lru_.size() > 1) {
+  while (resident_bytes_ > budget_bytes && lru_.size() > keep) {
     size_t victim = lru_.back();
     lru_.pop_back();
     auto it = resident_.find(victim);
@@ -822,8 +846,7 @@ SegmentStoreFootprint SegmentStore::Footprint() const {
   fp.cache_hits = cache_hits_;
   fp.evictions = evictions_;
   fp.estimated_memory_bytes =
-      (total_events_ / 2) * kDecodedBytesPerInstance +
-      total_executions_ * kDecodedBytesPerExecution;
+      DecodedBytes(total_events_ / 2, total_executions_);
   return fp;
 }
 

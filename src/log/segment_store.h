@@ -239,11 +239,11 @@ class SegmentStore {
   /// The decoded window for segment `index`: an EventLog whose dictionary
   /// is a copy of the full store dictionary (so ids and num_activities()
   /// match the in-memory log everywhere). Served from the resident cache
-  /// when possible; a miss decodes the file and may evict least-recently
-  /// used segments to stay under max_resident_bytes. The returned log
-  /// stays valid even if evicted (shared ownership). Under kSkip /
-  /// kQuarantine a torn segment yields its salvaged prefix and the loss is
-  /// recorded in report().
+  /// when possible; a miss first evicts least-recently used segments so
+  /// that they and the segment it decodes (sized from the manifest) stay
+  /// under max_resident_bytes. The returned log stays valid even if
+  /// evicted (shared ownership). Under kSkip / kQuarantine a torn segment
+  /// yields its salvaged prefix and the loss is recorded in report().
   Result<std::shared_ptr<const EventLog>> Segment(size_t index);
 
   /// Decodes the whole store into one in-memory EventLog (for the small
@@ -265,7 +265,9 @@ class SegmentStore {
     std::list<size_t>::iterator lru_pos;
   };
 
-  void EvictDownTo(int64_t budget_bytes);
+  /// Evicts least-recently used segments until the cache holds at most
+  /// `budget_bytes` or only `keep` segments.
+  void EvictDownTo(int64_t budget_bytes, size_t keep);
 
   std::string dir_;
   SegmentStoreOptions options_;

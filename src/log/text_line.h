@@ -78,7 +78,7 @@ inline LineKind Malformed(LineFault* fault, std::string_view error_class,
 }  // namespace text_line_internal
 
 /// Scans the line [begin, line_end) (no newline). On kEvent, *instance and
-/// *activity alias the line, event->type/timestamp/output_begin/
+/// *activity alias the line, event->type()/timestamp/output_begin/
 /// output_count are set (the caller assigns the name ids), and the output
 /// values are appended to *outputs. On kMalformed, *outputs is left as it
 /// was. The fields are carved in place: no per-line containers and no
@@ -106,9 +106,9 @@ inline LineKind Malformed(LineFault* fault, std::string_view error_class,
                      StrFormat("expected at least 4 fields, got %zu", nfields));
   }
   if (fields[2] == "START") {
-    event->type = EventType::kStart;
+    event->set_type(EventType::kStart);
   } else if (fields[2] == "END") {
-    event->type = EventType::kEnd;
+    event->set_type(EventType::kEnd);
   } else {
     return Malformed(fault, "bad_event_type",
                      StrFormat("event type must be START or END, got '%s'",
@@ -129,7 +129,7 @@ inline LineKind Malformed(LineFault* fault, std::string_view error_class,
   for (;;) {
     std::string_view token = NextField(&q, line_end);
     if (token.empty()) break;
-    if (event->type == EventType::kStart) {
+    if (event->type() == EventType::kStart) {
       return Malformed(fault, "output_on_start",
                        "output parameters are only valid on END events");
     }

@@ -24,8 +24,8 @@ bool FilterInstances(const Execution& exec,
                      const std::function<bool(const ActivityInstance&)>& keep,
                      Execution* out) {
   *out = Execution(exec.name());
-  for (const ActivityInstance& inst : exec.instances()) {
-    if (keep(inst)) out->Append(inst);
+  for (size_t i = 0; i < exec.size(); ++i) {
+    if (keep(exec[i])) out->Append(exec[i], exec.output(i));
   }
   return !out->empty();
 }
@@ -134,10 +134,9 @@ EventLog MergeLogs(const std::vector<const EventLog*>& logs) {
           out.dictionary().Intern(log->dictionary().Name(a));
     }
     for (const Execution& exec : log->executions()) {
-      Execution remapped(exec.name());
-      for (ActivityInstance inst : exec.instances()) {
-        inst.activity = remap[static_cast<size_t>(inst.activity)];
-        remapped.Append(std::move(inst));
+      Execution remapped = exec;
+      for (size_t i = 0; i < exec.size(); ++i) {
+        remapped.Relabel(i, remap[static_cast<size_t>(exec[i].activity)]);
       }
       out.AddExecution(std::move(remapped));
     }

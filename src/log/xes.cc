@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -129,7 +130,8 @@ std::string ToXes(const EventLog& log) {
     out << "  <trace>\n";
     out << "    <string key=\"concept:name\" value=\""
         << XmlEscape(exec.name()) << "\"/>\n";
-    for (const ActivityInstance& inst : exec.instances()) {
+    for (size_t k = 0; k < exec.size(); ++k) {
+      const ActivityInstance& inst = exec[k];
       const std::string name =
           XmlEscape(log.dictionary().Name(inst.activity));
       bool instantaneous = inst.start == inst.end;
@@ -150,9 +152,10 @@ std::string ToXes(const EventLog& log) {
              "value=\"complete\"/>\n";
       out << "      <int key=\"time:timestamp\" value=\"" << inst.end
           << "\"/>\n";
-      for (size_t i = 0; i < inst.output.size(); ++i) {
-        out << "      <int key=\"out" << i << "\" value=\""
-            << inst.output[i] << "\"/>\n";
+      const std::span<const int64_t> output = exec.output(k);
+      for (size_t i = 0; i < output.size(); ++i) {
+        out << "      <int key=\"out" << i << "\" value=\"" << output[i]
+            << "\"/>\n";
       }
       out << "    </event>\n";
     }

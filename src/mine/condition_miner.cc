@@ -13,9 +13,9 @@ Dataset ConditionMiner::BuildTrainingSet(const EventLog& log, ActivityId u,
   // Determine the feature width from the first recorded output of u.
   int width = -1;
   for (const Execution& exec : log.executions()) {
-    for (const ActivityInstance& inst : exec.instances()) {
-      if (inst.activity == u && !inst.output.empty()) {
-        width = static_cast<int>(inst.output.size());
+    for (const InstanceOutput& o : exec.outputs()) {
+      if (exec[o.instance].activity == u) {
+        width = static_cast<int>(o.values.size());
         break;
       }
     }
@@ -26,16 +26,15 @@ Dataset ConditionMiner::BuildTrainingSet(const EventLog& log, ActivityId u,
   Dataset data(width);
   for (const Execution& exec : log.executions()) {
     // First instance of u with a full output vector; label by v's presence.
-    const ActivityInstance* u_inst = nullptr;
-    bool v_present = false;
-    for (const ActivityInstance& inst : exec.instances()) {
-      if (inst.activity == u && u_inst == nullptr &&
-          static_cast<int>(inst.output.size()) == width) {
-        u_inst = &inst;
+    const InstanceOutput* u_output = nullptr;
+    for (const InstanceOutput& o : exec.outputs()) {
+      if (exec[o.instance].activity == u &&
+          static_cast<int>(o.values.size()) == width) {
+        u_output = &o;
+        break;
       }
-      if (inst.activity == v) v_present = true;
     }
-    if (u_inst != nullptr) data.Add(u_inst->output, v_present);
+    if (u_output != nullptr) data.Add(u_output->values, exec.Contains(v));
   }
   return data;
 }

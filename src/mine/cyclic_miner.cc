@@ -44,15 +44,13 @@ EventLog RelabelLog(const EventLog& log, const OccurrenceLabeler& labeler,
     std::vector<size_t> touched;
     for (size_t e = span.begin; e < span.end; ++e) {
       const Execution& exec = log.execution(e);
-      Execution rewritten(exec.name());
+      Execution rewritten = exec;
       touched.clear();
-      for (const ActivityInstance& inst : exec.instances()) {
-        size_t a = static_cast<size_t>(inst.activity);
+      for (size_t i = 0; i < exec.size(); ++i) {
+        size_t a = static_cast<size_t>(exec[i].activity);
         if (occurrence[a] == 0) touched.push_back(a);
         size_t k = static_cast<size_t>(++occurrence[a]);
-        ActivityInstance copy = inst;
-        copy.activity = label_ids[a][k - 1];
-        rewritten.Append(std::move(copy));
+        rewritten.Relabel(i, label_ids[a][k - 1]);
       }
       for (size_t a : touched) occurrence[a] = 0;
       out[e] = std::move(rewritten);

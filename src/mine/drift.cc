@@ -173,11 +173,11 @@ Status DriftMonitor::Add(const Execution& exec,
 
   // Keep a copy in the miner's id space so eviction and witness scans need
   // no further remapping (every name exists in the miner's dictionary now).
-  Execution remapped(exec.name());
-  for (ActivityInstance inst : exec.instances()) {
+  Execution remapped = exec;
+  for (size_t i = 0; i < exec.size(); ++i) {
     PROCMINE_ASSIGN_OR_RETURN(
-        inst.activity, miner_.dictionary().Find(dict.Name(inst.activity)));
-    remapped.Append(std::move(inst));
+        ActivityId id, miner_.dictionary().Find(dict.Name(exec[i].activity)));
+    remapped.Relabel(i, id);
   }
   window_.push_back(WindowEntry{next_index_, std::move(remapped)});
   ++next_index_;

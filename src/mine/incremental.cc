@@ -22,10 +22,9 @@ Status IncrementalMiner::AddSequence(
 
 Status IncrementalMiner::AddExecution(const Execution& exec,
                                       const ActivityDictionary& dict) {
-  Execution remapped(exec.name());
-  for (ActivityInstance inst : exec.instances()) {
-    inst.activity = dict_.Intern(dict.Name(inst.activity));
-    remapped.Append(std::move(inst));
+  Execution remapped = exec;
+  for (size_t i = 0; i < exec.size(); ++i) {
+    remapped.Relabel(i, dict_.Intern(dict.Name(exec[i].activity)));
   }
   return Absorb(remapped);
 }
@@ -87,11 +86,11 @@ Status IncrementalMiner::RemoveSequence(
 
 Status IncrementalMiner::RemoveExecution(const Execution& exec,
                                          const ActivityDictionary& dict) {
-  Execution remapped(exec.name());
-  for (ActivityInstance inst : exec.instances()) {
-    PROCMINE_ASSIGN_OR_RETURN(inst.activity,
-                              dict_.Find(dict.Name(inst.activity)));
-    remapped.Append(std::move(inst));
+  Execution remapped = exec;
+  for (size_t i = 0; i < exec.size(); ++i) {
+    PROCMINE_ASSIGN_OR_RETURN(ActivityId id,
+                              dict_.Find(dict.Name(exec[i].activity)));
+    remapped.Relabel(i, id);
   }
   return Evict(remapped);
 }

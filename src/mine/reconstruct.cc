@@ -39,17 +39,18 @@ Result<ProcessDefinition> ReconstructDefinition(
   std::vector<std::vector<std::pair<int64_t, int64_t>>> ranges(
       static_cast<size_t>(n));
   for (const Execution& exec : log.executions()) {
-    for (const ActivityInstance& inst : exec.instances()) {
-      if (inst.activity >= n) continue;
-      auto& r = ranges[static_cast<size_t>(inst.activity)];
-      if (r.size() < inst.output.size()) {
-        r.resize(inst.output.size(),
+    for (const InstanceOutput& o : exec.outputs()) {
+      const ActivityId activity = exec[o.instance].activity;
+      if (activity >= n) continue;
+      auto& r = ranges[static_cast<size_t>(activity)];
+      if (r.size() < o.values.size()) {
+        r.resize(o.values.size(),
                  {std::numeric_limits<int64_t>::max(),
                   std::numeric_limits<int64_t>::min()});
       }
-      for (size_t i = 0; i < inst.output.size(); ++i) {
-        r[i].first = std::min(r[i].first, inst.output[i]);
-        r[i].second = std::max(r[i].second, inst.output[i]);
+      for (size_t i = 0; i < o.values.size(); ++i) {
+        r[i].first = std::min(r[i].first, o.values[i]);
+        r[i].second = std::max(r[i].second, o.values[i]);
       }
     }
   }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 #include <unordered_set>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -100,12 +102,9 @@ Result<Execution> Engine::RunDeadPath(const std::string& instance_name,
     for (NodeId w : g.OutNeighbors(v)) {
       signals.emplace_back(w, def_->condition(v, w).Eval(output));
     }
-    ActivityInstance inst;
-    inst.activity = v;
-    inst.start = start;
-    inst.end = end;
-    if (options_.record_outputs) inst.output = std::move(output);
-    exec.Append(std::move(inst));
+    exec.Append(ActivityInstance{v, start, end},
+                options_.record_outputs ? std::span<const int64_t>(output)
+                                        : std::span<const int64_t>());
   };
 
   while (!ready.empty()) {
@@ -157,7 +156,8 @@ Result<Execution> Engine::RunDeadPathWithAgents(
   std::vector<int64_t> agent_free(static_cast<size_t>(options_.num_agents),
                                   0);
   std::unordered_set<int64_t> used_starts;
-  std::vector<ActivityInstance> instances;
+  // Instances in completion order, each with the outputs it records.
+  std::vector<std::pair<ActivityInstance, std::vector<int64_t>>> instances;
   bool sink_ran = false;
 
   struct Signal {
@@ -212,12 +212,8 @@ Result<Execution> Engine::RunDeadPathWithAgents(
     for (NodeId w : g.OutNeighbors(v)) {
       signals.push_back({w, def_->condition(v, w).Eval(output), end});
     }
-    ActivityInstance inst;
-    inst.activity = v;
-    inst.start = start;
-    inst.end = end;
-    if (options_.record_outputs) inst.output = std::move(output);
-    instances.push_back(std::move(inst));
+    if (!options_.record_outputs) output.clear();
+    instances.emplace_back(ActivityInstance{v, start, end}, std::move(output));
     flush_signals();
   }
 
@@ -225,11 +221,11 @@ Result<Execution> Engine::RunDeadPathWithAgents(
     return Status::FailedPrecondition("terminating activity never ran");
   }
   std::stable_sort(instances.begin(), instances.end(),
-                   [](const ActivityInstance& a, const ActivityInstance& b) {
-                     return a.start < b.start;
+                   [](const auto& a, const auto& b) {
+                     return a.first.start < b.first.start;
                    });
   Execution exec(instance_name);
-  for (ActivityInstance& inst : instances) exec.Append(std::move(inst));
+  for (const auto& [inst, output] : instances) exec.Append(inst, output);
   return exec;
 }
 
@@ -255,12 +251,9 @@ Result<Execution> Engine::RunTokenFire(const std::string& instance_name,
           instance_name.c_str(), options_.max_steps));
     }
     std::vector<int64_t> output = DrawOutputs(def_->output_spec(v), rng);
-    ActivityInstance inst;
-    inst.activity = v;
-    inst.start = clock;
-    inst.end = clock;
-    if (options_.record_outputs) inst.output = output;
-    exec.Append(std::move(inst));
+    exec.Append(ActivityInstance{v, clock, clock},
+                options_.record_outputs ? std::span<const int64_t>(output)
+                                        : std::span<const int64_t>());
     ++clock;
 
     if (v == sink) return exec;  // terminating activity ends the execution

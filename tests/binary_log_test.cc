@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "log/writer.h"
+#include "output_of.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/random.h"
@@ -18,9 +19,9 @@ EventLog SampleLog() {
   EventLog log = EventLog::FromCompactStrings({"ABCE", "ACDBE", "ACE"});
   // Add an interval execution with outputs and negative timestamps.
   Execution exec("interval_case");
-  exec.Append({0, -5, 10, {42, -7}});
-  exec.Append({1, 3, 20, {}});
-  exec.Append({2, 25, 25, {0}});
+  exec.Append({0, -5, 10}, std::vector<int64_t>{42, -7});
+  exec.Append({1, 3, 20});
+  exec.Append({2, 25, 25}, std::vector<int64_t>{0});
   log.AddExecution(std::move(exec));
   return log;
 }
@@ -38,7 +39,7 @@ void ExpectLogsEqual(const EventLog& a, const EventLog& b) {
       EXPECT_EQ(x[j].activity, y[j].activity);
       EXPECT_EQ(x[j].start, y[j].start);
       EXPECT_EQ(x[j].end, y[j].end);
-      EXPECT_EQ(x[j].output, y[j].output);
+      EXPECT_EQ(OutputOf(x, j), OutputOf(y, j));
     }
   }
 }

@@ -87,10 +87,10 @@ TEST(ConformanceTest, OverlappingParallelActivitiesConsistent) {
   ProcessGraph g = Figure1();
   ConformanceChecker checker(&g);
   Execution exec("par");
-  exec.Append({0, 0, 0, {}});   // A
-  exec.Append({1, 1, 3, {}});   // B [1,3]
-  exec.Append({2, 2, 4, {}});   // C [2,4] overlaps B
-  exec.Append({4, 5, 5, {}});   // E
+  exec.Append({0, 0, 0});   // A
+  exec.Append({1, 1, 3});   // B [1,3]
+  exec.Append({2, 2, 4});   // C [2,4] overlaps B
+  exec.Append({4, 5, 5});   // E
   EXPECT_TRUE(checker.CheckExecution(exec).ok());
 }
 

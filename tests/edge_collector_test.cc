@@ -46,8 +46,8 @@ TEST(EdgeCollectorTest, RepeatedActivityCountsEdgeOnce) {
 
 TEST(EdgeCollectorTest, OverlappingIntervalsProduceNoEdge) {
   Execution exec("c");
-  exec.Append({0, 0, 10, {}});
-  exec.Append({1, 5, 15, {}});
+  exec.Append({0, 0, 10});
+  exec.Append({1, 5, 15});
   EventLog log;
   log.dictionary().Intern("A");
   log.dictionary().Intern("B");
@@ -73,7 +73,7 @@ EventLog RandomCollectorLog(uint64_t seed, size_t executions) {
       const int64_t start = rng.UniformRange(0, 12);
       const int64_t length = static_cast<int64_t>(rng.Uniform(3));
       instances.push_back(
-          {alphabet[rng.Uniform(alphabet.size())], start, start + length, {}});
+          {alphabet[rng.Uniform(alphabet.size())], start, start + length});
     }
     std::stable_sort(instances.begin(), instances.end(),
                      [](const ActivityInstance& a, const ActivityInstance& b) {

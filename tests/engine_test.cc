@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "output_of.h"
+
 namespace procmine {
 namespace {
 
@@ -119,7 +121,7 @@ TEST(EngineTest, RecordsOutputsOnInstances) {
   Rng rng(3);
   auto exec = engine.Run("c", &rng);
   ASSERT_TRUE(exec.ok());
-  EXPECT_EQ((*exec)[0].output, (std::vector<int64_t>{5, 5}));
+  EXPECT_EQ(OutputOf(*exec, 0), (std::vector<int64_t>{5, 5}));
 }
 
 TEST(EngineTest, RecordOutputsFalseLeavesEmpty) {
@@ -132,7 +134,7 @@ TEST(EngineTest, RecordOutputsFalseLeavesEmpty) {
   Rng rng(3);
   auto exec = engine.Run("c", &rng);
   ASSERT_TRUE(exec.ok());
-  EXPECT_TRUE((*exec)[0].output.empty());
+  EXPECT_TRUE(OutputOf(*exec, 0).empty());
 }
 
 TEST(EngineTest, ParallelOverlapProducesOverlappingIntervals) {

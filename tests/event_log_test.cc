@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "output_of.h"
+
 namespace procmine {
 namespace {
 
@@ -48,8 +50,8 @@ TEST(EventLogTest, FromEventsPairsStartEnd) {
   ASSERT_EQ(exec.size(), 2u);
   EXPECT_EQ(exec[0].start, 0);
   EXPECT_EQ(exec[0].end, 1);
-  EXPECT_EQ(exec[0].output, (std::vector<int64_t>{10}));
-  EXPECT_EQ(exec[1].output, (std::vector<int64_t>{20}));
+  EXPECT_EQ(OutputOf(exec, 0), (std::vector<int64_t>{10}));
+  EXPECT_EQ(OutputOf(exec, 1), (std::vector<int64_t>{20}));
 }
 
 TEST(EventLogTest, FromEventsGroupsByInstance) {
@@ -96,9 +98,9 @@ TEST(EventLogTest, FromEventsPairsRepeatedActivityFifo) {
   ASSERT_EQ(exec.size(), 2u);
   EXPECT_EQ(exec[0].start, 0);
   EXPECT_EQ(exec[0].end, 1);
-  EXPECT_EQ(exec[0].output, (std::vector<int64_t>{1}));
+  EXPECT_EQ(OutputOf(exec, 0), (std::vector<int64_t>{1}));
   EXPECT_EQ(exec[1].start, 2);
-  EXPECT_EQ(exec[1].output, (std::vector<int64_t>{2}));
+  EXPECT_EQ(OutputOf(exec, 1), (std::vector<int64_t>{2}));
 }
 
 TEST(EventLogTest, FromEventsRejectsEndWithoutStart) {

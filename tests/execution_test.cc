@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "output_of.h"
+
 namespace procmine {
 namespace {
 
@@ -30,9 +32,9 @@ TEST(ExecutionTest, TerminatesBeforeOnSequence) {
 
 TEST(ExecutionTest, OverlappingIntervalsDoNotTerminateBefore) {
   Execution exec("e");
-  exec.Append({0, 0, 10, {}});
-  exec.Append({1, 5, 15, {}});  // overlaps instance 0
-  exec.Append({2, 20, 25, {}});
+  exec.Append({0, 0, 10});
+  exec.Append({1, 5, 15});  // overlaps instance 0
+  exec.Append({2, 20, 25});
   EXPECT_FALSE(exec.TerminatesBefore(0, 1));
   EXPECT_FALSE(exec.TerminatesBefore(1, 0));
   EXPECT_TRUE(exec.TerminatesBefore(0, 2));
@@ -41,8 +43,8 @@ TEST(ExecutionTest, OverlappingIntervalsDoNotTerminateBefore) {
 
 TEST(ExecutionTest, TouchingIntervalsAreNotStrictlyBefore) {
   Execution exec("e");
-  exec.Append({0, 0, 5, {}});
-  exec.Append({1, 5, 9, {}});  // starts exactly when 0 ends
+  exec.Append({0, 0, 5});
+  exec.Append({1, 5, 9});  // starts exactly when 0 ends
   EXPECT_FALSE(exec.TerminatesBefore(0, 1));
 }
 
@@ -65,19 +67,47 @@ TEST(ExecutionTest, EmptyExecution) {
 
 TEST(ExecutionTest, OutputsPreserved) {
   Execution exec("e");
-  exec.Append({0, 0, 1, {42, 7}});
-  EXPECT_EQ(exec[0].output, (std::vector<int64_t>{42, 7}));
+  exec.Append({0, 0, 1}, std::vector<int64_t>{42, 7});
+  EXPECT_EQ(OutputOf(exec, 0), (std::vector<int64_t>{42, 7}));
+}
+
+TEST(ExecutionTest, OutputsAreSparse) {
+  Execution exec("e");
+  exec.Append({0, 0, 1});
+  exec.Append({1, 2, 3}, std::vector<int64_t>{5});
+  exec.Append({2, 4, 5}, std::vector<int64_t>{});  // records none
+  exec.Append({0, 6, 7}, std::vector<int64_t>{-1, 8});
+  EXPECT_TRUE(exec.output(0).empty());
+  EXPECT_EQ(OutputOf(exec, 1), (std::vector<int64_t>{5}));
+  EXPECT_TRUE(exec.output(2).empty());
+  EXPECT_EQ(OutputOf(exec, 3), (std::vector<int64_t>{-1, 8}));
+  ASSERT_EQ(exec.outputs().size(), 2u);
+  EXPECT_EQ(exec.outputs()[0].instance, 1u);
+  EXPECT_EQ(exec.outputs()[1].instance, 3u);
+  EXPECT_TRUE(Execution::FromSequence("s", {0, 1}).outputs().empty());
+}
+
+TEST(ExecutionTest, RelabelKeepsTimesAndOutputs) {
+  Execution exec("e");
+  exec.Append({0, 0, 1}, std::vector<int64_t>{9});
+  exec.Append({1, 2, 3});
+  exec.Relabel(0, 4);
+  EXPECT_EQ(exec[0].activity, 4);
+  EXPECT_EQ(exec[0].start, 0);
+  EXPECT_EQ(exec[0].end, 1);
+  EXPECT_EQ(OutputOf(exec, 0), (std::vector<int64_t>{9}));
+  EXPECT_TRUE(exec.output(1).empty());
 }
 
 TEST(ExecutionDeathTest, AppendOutOfOrderStartChecks) {
   Execution exec("e");
-  exec.Append({0, 10, 11, {}});
-  EXPECT_DEATH(exec.Append({1, 5, 6, {}}), "check failed");
+  exec.Append({0, 10, 11});
+  EXPECT_DEATH(exec.Append({1, 5, 6}), "check failed");
 }
 
 TEST(ExecutionDeathTest, NegativeDurationChecks) {
   Execution exec("e");
-  EXPECT_DEATH(exec.Append({0, 10, 5, {}}), "check failed");
+  EXPECT_DEATH(exec.Append({0, 10, 5}), "check failed");
 }
 
 }  // namespace

@@ -254,8 +254,8 @@ TEST(IncrementalMinerTest, IntervalExecutionsSupported) {
   log.dictionary().Intern("A");
   log.dictionary().Intern("B");
   Execution exec("c");
-  exec.Append({0, 0, 10, {}});
-  exec.Append({1, 5, 15, {}});  // overlaps: no precedence edge
+  exec.Append({0, 0, 10});
+  exec.Append({1, 5, 15});  // overlaps: no precedence edge
   log.AddExecution(std::move(exec));
   IncrementalMiner miner;
   ASSERT_TRUE(miner.AddLog(log).ok());

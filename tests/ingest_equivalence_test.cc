@@ -31,6 +31,7 @@
 #include "util/strings.h"
 #include "workflow/engine.h"
 #include "legacy_text_parser.h"
+#include "output_of.h"
 #include "stream_equivalence.h"
 
 namespace procmine {
@@ -131,7 +132,7 @@ void ExpectIdenticalLogs(const EventLog& a, const EventLog& b,
       EXPECT_EQ(x[k].activity, y[k].activity) << context;
       EXPECT_EQ(x[k].start, y[k].start) << context;
       EXPECT_EQ(x[k].end, y[k].end) << context;
-      EXPECT_EQ(x[k].output, y[k].output) << context;
+      EXPECT_EQ(OutputOf(x, k), OutputOf(y, k)) << context;
     }
   }
   // Byte-level seal: identical text and binary serializations.

@@ -137,18 +137,19 @@ inline Status PairInstance(const std::string& name,
         StrFormat("execution '%s': START without END for activity '%s'",
                   name.c_str(), unmatched->c_str()));
   }
-  std::vector<ActivityInstance> instances;
+  // Each instance with the outputs of its END event.
+  std::vector<std::pair<ActivityInstance, const Event*>> instances;
   for (const auto& [end, start] : paired) {
     const ActivityId activity = log->dictionary().Intern(end->activity);
-    instances.push_back(
-        ActivityInstance{activity, start, end->timestamp, end->output});
+    instances.emplace_back(ActivityInstance{activity, start, end->timestamp},
+                           end);
   }
   std::stable_sort(instances.begin(), instances.end(),
-                   [](const ActivityInstance& a, const ActivityInstance& b) {
-                     return a.start < b.start;
+                   [](const auto& a, const auto& b) {
+                     return a.first.start < b.first.start;
                    });
   *exec = Execution(name);
-  for (ActivityInstance& inst : instances) exec->Append(std::move(inst));
+  for (const auto& [inst, end] : instances) exec->Append(inst, end->output);
   return Status::OK();
 }
 

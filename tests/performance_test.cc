@@ -25,20 +25,20 @@ struct Fixture {
     log.dictionary().Intern("E");
 
     Execution e1("c1");  // S[0,2] A[3,7] E[10,10]
-    e1.Append({0, 0, 2, {}});
-    e1.Append({1, 3, 7, {}});
-    e1.Append({2, 10, 10, {}});
+    e1.Append({0, 0, 2});
+    e1.Append({1, 3, 7});
+    e1.Append({2, 10, 10});
     log.AddExecution(std::move(e1));
 
     Execution e2("c2");  // S[0,1] A[2,4] E[5,5]
-    e2.Append({0, 0, 1, {}});
-    e2.Append({1, 2, 4, {}});
-    e2.Append({2, 5, 5, {}});
+    e2.Append({0, 0, 1});
+    e2.Append({1, 2, 4});
+    e2.Append({2, 5, 5});
     log.AddExecution(std::move(e2));
 
     Execution e3("c3");  // S[0,2] E[4,4] (skip)
-    e3.Append({0, 0, 2, {}});
-    e3.Append({2, 4, 4, {}});
+    e3.Append({0, 0, 2});
+    e3.Append({2, 4, 4});
     log.AddExecution(std::move(e3));
   }
 };

@@ -5,6 +5,7 @@
 
 #include "log/reader.h"
 #include "log/writer.h"
+#include "output_of.h"
 
 namespace procmine {
 namespace {
@@ -30,8 +31,8 @@ TEST(LogReaderTest, ParsesEvents) {
   EXPECT_EQ(log->dictionary().Name(case1[0].activity), "A");
   EXPECT_EQ(case1[0].start, 0);
   EXPECT_EQ(case1[0].end, 1);
-  EXPECT_EQ(case1[0].output, (std::vector<int64_t>{42}));
-  EXPECT_EQ(case1[1].output, (std::vector<int64_t>{7, 9}));
+  EXPECT_EQ(OutputOf(case1, 0), (std::vector<int64_t>{42}));
+  EXPECT_EQ(OutputOf(case1, 1), (std::vector<int64_t>{7, 9}));
 }
 
 TEST(LogReaderTest, SkipsCommentsAndBlankLines) {
@@ -133,7 +134,7 @@ TEST(LogWriterTest, WriteFileBadPathIsIOError) {
 
 TEST(LogWriterTest, OutputsSerializedOnEndEvents) {
   Execution exec("c");
-  exec.Append({0, 0, 1, {5, 6}});
+  exec.Append({0, 0, 1}, std::vector<int64_t>{5, 6});
   EventLog log;
   log.dictionary().Intern("A");
   log.AddExecution(std::move(exec));

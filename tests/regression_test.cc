@@ -48,8 +48,8 @@ TEST(RegressionTest, WalkerNeverViolatesTruthDependencies) {
 // engine guarantees by starting tasks at max(enable, free) + 1.
 TEST(RegressionTest, TouchingIntervalsAreNotOrdered) {
   Execution exec("c");
-  exec.Append({0, 0, 5, {}});
-  exec.Append({1, 5, 8, {}});
+  exec.Append({0, 0, 5});
+  exec.Append({1, 5, 8});
   EXPECT_FALSE(exec.TerminatesBefore(0, 1));
 
   ProcessDefinition def(ProcessGraph::FromNamedEdges({{"S", "E"}}));
@@ -86,11 +86,11 @@ TEST(RegressionTest, AbsentIntermediateDoesNotBindOrdering) {
   EXPECT_TRUE(checker.CheckExecution(exec).ok());
   // With X present the chain binds: S C X ... B must come after.
   Execution bad("r2");
-  bad.Append({0, 0, 0, {}});
-  bad.Append({2, 1, 1, {}});  // B early
-  bad.Append({1, 2, 2, {}});  // C
-  bad.Append({3, 3, 3, {}});  // X
-  bad.Append({4, 4, 4, {}});
+  bad.Append({0, 0, 0});
+  bad.Append({2, 1, 1});  // B early
+  bad.Append({1, 2, 2});  // C
+  bad.Append({3, 3, 3});  // X
+  bad.Append({4, 4, 4});
   EXPECT_FALSE(checker.CheckExecution(bad).ok());
 }
 

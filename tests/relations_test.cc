@@ -89,8 +89,8 @@ TEST(RelationsTest, BothOrdersMakeIndependent) {
 
 TEST(RelationsTest, OverlappingInstancesBlockFollowing) {
   Execution exec("c");
-  exec.Append({0, 0, 10, {}});
-  exec.Append({1, 5, 15, {}});
+  exec.Append({0, 0, 10});
+  exec.Append({1, 5, 15});
   EventLog log;
   log.dictionary().Intern("A");
   log.dictionary().Intern("B");

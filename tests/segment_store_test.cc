@@ -25,6 +25,7 @@
 #include "obs/telemetry.h"
 #include "mine/cyclic_miner.h"
 #include "mine/ooc_miner.h"
+#include "output_of.h"
 #include "reduce_every_execution.h"
 #include "synth/log_generator.h"
 #include "synth/random_dag.h"
@@ -49,7 +50,7 @@ void ExpectLogsEqual(const EventLog& a, const EventLog& b) {
       EXPECT_EQ(x[j].activity, y[j].activity);
       EXPECT_EQ(x[j].start, y[j].start);
       EXPECT_EQ(x[j].end, y[j].end);
-      EXPECT_EQ(x[j].output, y[j].output);
+      EXPECT_EQ(OutputOf(x, j), OutputOf(y, j));
     }
   }
 }
@@ -87,20 +88,20 @@ class SegmentStoreTest : public ::testing::Test {
 EventLog AwkwardLog() {
   EventLog log = EventLog::FromCompactStrings({"ABCE", "ACDBE", "ACE"});
   Execution interval("interval_case");
-  interval.Append({0, -5, 10, {42, -7}});
-  interval.Append({1, 3, 20, {}});
-  interval.Append({2, 25, 25, {0}});
+  interval.Append({0, -5, 10}, std::vector<int64_t>{42, -7});
+  interval.Append({1, 3, 20});
+  interval.Append({2, 25, 25}, std::vector<int64_t>{0});
   log.AddExecution(std::move(interval));
   log.AddExecution(Execution("empty_case"));  // zero instances
   // Starts are non-decreasing within an execution (EventLog invariant),
   // but the encoder still sees hostile deltas: the clock jumps far forward
   // here and then far backward at the next execution boundary.
   Execution forward("forward_case");
-  forward.Append({3, 1000000, 1000001, {}});
+  forward.Append({3, 1000000, 1000001});
   log.AddExecution(std::move(forward));
   Execution backward("backward_case");
-  backward.Append({1, -999, -998, {5}});
-  backward.Append({0, 0, 0, {}});
+  backward.Append({1, -999, -998}, std::vector<int64_t>{5});
+  backward.Append({0, 0, 0});
   log.AddExecution(std::move(backward));
   return log;
 }
@@ -189,7 +190,7 @@ TEST_F(SegmentStoreTest, RoundTripFuzz) {
         if (rng.Uniform(3) == 0) {
           outputs.push_back(static_cast<int64_t>(rng.Uniform(1000)) - 500);
         }
-        exec.Append({a, t, t + dur, outputs});
+        exec.Append({a, t, t + dur}, outputs);
       }
       log.AddExecution(std::move(exec));
     }
@@ -214,7 +215,7 @@ std::vector<Execution> SampleExecs() {
   for (int e = 0; e < 10; ++e) {
     Execution exec(StrFormat("case_%d", e));
     for (int k = 0; k <= e % 3; ++k) {
-      exec.Append({static_cast<ActivityId>(k), 10 * k, 10 * k + 5, {}});
+      exec.Append({static_cast<ActivityId>(k), 10 * k, 10 * k + 5});
     }
     execs.push_back(std::move(exec));
   }
@@ -349,12 +350,13 @@ std::optional<std::vector<Execution>> ReferenceDecodeBlock(
   }
   if (total != *num_instances) return std::nullopt;
   std::vector<ActivityInstance> instances;
+  std::vector<std::vector<int64_t>> outputs(*num_instances);
   for (uint64_t i = 0; i < *num_instances; ++i) {
     const std::optional<uint64_t> id = next();
     if (!id || *id >= static_cast<uint64_t>(num_activities)) {
       return std::nullopt;
     }
-    instances.push_back({static_cast<ActivityId>(*id), 0, 0, {}});
+    instances.push_back({static_cast<ActivityId>(*id), 0, 0});
   }
   uint64_t start = 0;  // the delta chain wraps mod 2^64
   for (ActivityInstance& inst : instances) {
@@ -388,7 +390,7 @@ std::optional<std::vector<Execution>> ReferenceDecodeBlock(
     for (uint64_t v = 0; v < *count; ++v) {
       const std::optional<int64_t> value = next_signed();
       if (!value) return std::nullopt;
-      instances[ord].output.push_back(*value);
+      outputs[ord].push_back(*value);
     }
   }
   if (!c.empty()) return std::nullopt;
@@ -400,7 +402,7 @@ std::optional<std::vector<Execution>> ReferenceDecodeBlock(
       if (j > 0 && instances[at].start < instances[at - 1].start) {
         return std::nullopt;
       }
-      exec.Append(instances[at]);
+      exec.Append(instances[at], outputs[at]);
     }
     out.push_back(std::move(exec));
   }
@@ -472,20 +474,23 @@ void ExpectDecodersMatchReference(const std::string& segment,
 /// corruptions varint continuations to hit.
 std::vector<Execution> MixedOutputExecs() {
   std::vector<Execution> execs;
-  auto add = [&execs](std::string name,
-                      std::vector<ActivityInstance> instances) {
+  struct Instance {
+    ActivityInstance instance;
+    std::vector<int64_t> output;
+  };
+  auto add = [&execs](std::string name, std::vector<Instance> instances) {
     Execution exec(std::move(name));
-    for (ActivityInstance& inst : instances) exec.Append(std::move(inst));
+    for (const Instance& i : instances) exec.Append(i.instance, i.output);
     execs.push_back(std::move(exec));
   };
-  add("a", {{0, 0, 1, {7}}, {1, 2, 4, {}}});
-  add("bb", {{2, 5, 5, {}}});
+  add("a", {{{0, 0, 1}, {7}}, {{1, 2, 4}, {}}});
+  add("bb", {{{2, 5, 5}, {}}});
   add("", {});
-  add("c", {{0, 100000, 100002, {}}, {1, 100001, 100300, {-3, 300}}});
-  add("d", {{2, -4, 0, {}}, {0, 0, 1, {}}});
-  add("e", {{1, 1, 2, {0, 1000000}}});
-  add("f", {{0, 3, 3, {}}, {2, 9, 200, {}}});
-  add("g", {{1, -70000, -69999, {}}});
+  add("c", {{{0, 100000, 100002}, {}}, {{1, 100001, 100300}, {-3, 300}}});
+  add("d", {{{2, -4, 0}, {}}, {{0, 0, 1}, {}}});
+  add("e", {{{1, 1, 2}, {0, 1000000}}});
+  add("f", {{{0, 3, 3}, {}}, {{2, 9, 200}, {}}});
+  add("g", {{{1, -70000, -69999}, {}}});
   add("h", {});
   return execs;
 }
@@ -696,8 +701,8 @@ TEST_F(SegmentStoreTest, ReusedDictionaryAddressDoesNotCorruptRemap) {
   ASSERT_EQ(dict1->Intern("A"), 0);
   ASSERT_EQ(dict1->Intern("B"), 1);
   Execution first("case1");
-  first.Append({0, 0, 1, {}});
-  first.Append({1, 2, 3, {}});
+  first.Append({0, 0, 1});
+  first.Append({1, 2, 3});
   ASSERT_TRUE(writer->Append(first, *dict1).ok());
   dict1->~ActivityDictionary();
 
@@ -705,7 +710,7 @@ TEST_F(SegmentStoreTest, ReusedDictionaryAddressDoesNotCorruptRemap) {
   ASSERT_EQ(dict2->Intern("B"), 0);  // same address, swapped ids
   ASSERT_EQ(dict2->Intern("A"), 1);
   Execution second("case2");
-  second.Append({0, 4, 5, {}});  // id 0 now means "B"
+  second.Append({0, 4, 5});  // id 0 now means "B"
   ASSERT_TRUE(writer->Append(second, *dict2).ok());
   dict2->~ActivityDictionary();
   ASSERT_TRUE(writer->Finish().ok());
@@ -792,8 +797,8 @@ TEST_F(SegmentStoreTest, MemoryHighWaterSealsEarly) {
   EventLog log;
   for (int e = 0; e < 5000; ++e) {
     Execution exec(StrFormat("case_%04d", e));
-    exec.Append({log.dictionary().Intern("A"), e, e + 1, {}});
-    exec.Append({log.dictionary().Intern("B"), e + 2, e + 3, {}});
+    exec.Append({log.dictionary().Intern("A"), e, e + 1});
+    exec.Append({log.dictionary().Intern("B"), e + 2, e + 3});
     log.AddExecution(std::move(exec));
   }
   auto writer = SegmentedLogWriter::Create(dir_, options);
@@ -816,8 +821,8 @@ TEST_F(SegmentStoreTest, LruCacheEvictsUnderResidentBound) {
   EventLog log;
   for (int e = 0; e < 64; ++e) {
     Execution exec(StrFormat("case_%02d", e));
-    exec.Append({log.dictionary().Intern("A"), e, e + 1, {}});
-    exec.Append({log.dictionary().Intern("B"), e + 2, e + 3, {}});
+    exec.Append({log.dictionary().Intern("A"), e, e + 1});
+    exec.Append({log.dictionary().Intern("B"), e + 2, e + 3});
     log.AddExecution(std::move(exec));
   }
   WriteStore(log, options);
@@ -855,14 +860,64 @@ TEST_F(SegmentStoreTest, LruCacheEvictsUnderResidentBound) {
   EXPECT_EQ(cached->Footprint().evictions, 0);
 }
 
+TEST_F(SegmentStoreTest, DecodeStaysUnderResidentBound) {
+  // Segments of uneven size: each execution has 1-6 instances.
+  SegmentStoreOptions options;
+  options.target_segment_events = 40;
+  Rng rng(5);
+  EventLog log;
+  for (int e = 0; e < 120; ++e) {
+    Execution exec(StrFormat("case_%03d", e));
+    const int n = 1 + static_cast<int>(rng.Uniform(6));
+    for (int k = 0; k < n; ++k) {
+      exec.Append({log.dictionary().Intern(StrFormat("a%d", k)), 2 * k,
+                   2 * k + 1});
+    }
+    log.AddExecution(std::move(exec));
+  }
+  WriteStore(log, options);
+
+  // The model's bytes for each segment, read one segment at a time.
+  int64_t largest = 0;
+  {
+    auto store = SegmentStore::Open(dir_, options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_GT(store->num_segments(), 4u);
+    for (size_t i = 0; i < store->num_segments(); ++i) {
+      const int64_t before = store->Footprint().resident_bytes;
+      ASSERT_TRUE(store->Segment(i).ok());
+      largest = std::max(largest, store->Footprint().resident_bytes - before);
+    }
+  }
+  // Every bound that one segment fits under holds over whole walks, forward
+  // and backward, including while the next segment decodes.
+  for (double segments : {1.0, 1.5, 2.0, 2.7, 4.2}) {
+    SegmentStoreOptions bounded = options;
+    bounded.max_resident_bytes = static_cast<int64_t>(
+        segments * static_cast<double>(largest));
+    auto store = SegmentStore::Open(dir_, bounded);
+    ASSERT_TRUE(store.ok());
+    const size_t n = store->num_segments();
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t k = 0; k < n; ++k) {
+        ASSERT_TRUE(store->Segment(pass == 0 ? k : n - 1 - k).ok());
+      }
+    }
+    const SegmentStoreFootprint fp = store->Footprint();
+    EXPECT_LE(fp.peak_resident_bytes, bounded.max_resident_bytes)
+        << segments << " segments' worth";
+    EXPECT_GE(fp.resident_segments, 1);
+  }
+}
+
 TEST_F(SegmentStoreTest, CacheCountersAreExactAndMirrorMetrics) {
   SegmentStoreOptions options;
   options.target_segment_events = 8;
   EventLog log;
   for (int e = 0; e < 64; ++e) {
     Execution exec(StrFormat("case_%02d", e));
-    exec.Append({log.dictionary().Intern("A"), e, e + 1, {}});
-    exec.Append({log.dictionary().Intern("B"), e + 2, e + 3, {}});
+    exec.Append({log.dictionary().Intern("A"), e, e + 1});
+    exec.Append({log.dictionary().Intern("B"), e + 2, e + 3});
     log.AddExecution(std::move(exec));
   }
   WriteStore(log, options);
@@ -912,8 +967,8 @@ TEST_F(SegmentStoreTest, CacheCountersExactUnderConcurrentWindowReaders) {
   EventLog log;
   for (int e = 0; e < 64; ++e) {
     Execution exec(StrFormat("case_%02d", e));
-    exec.Append({log.dictionary().Intern("A"), e, e + 1, {}});
-    exec.Append({log.dictionary().Intern("B"), e + 2, e + 3, {}});
+    exec.Append({log.dictionary().Intern("A"), e, e + 1});
+    exec.Append({log.dictionary().Intern("B"), e + 2, e + 3});
     log.AddExecution(std::move(exec));
   }
   WriteStore(log, options);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -45,9 +46,11 @@ using NamedExecutions = std::map<std::string, std::vector<NamedInstance>>;
 inline std::vector<NamedInstance> Spell(const Execution& exec,
                                         const ActivityDictionary& dict) {
   std::vector<NamedInstance> spelled;
-  for (const ActivityInstance& inst : exec.instances()) {
-    spelled.push_back(
-        {dict.Name(inst.activity), inst.start, inst.end, inst.output});
+  for (size_t i = 0; i < exec.size(); ++i) {
+    const ActivityInstance& inst = exec[i];
+    const std::span<const int64_t> output = exec.output(i);
+    spelled.push_back({dict.Name(inst.activity), inst.start, inst.end,
+                       {output.begin(), output.end()}});
   }
   return spelled;
 }

@@ -8,6 +8,7 @@
 #include "mine/incremental.h"
 #include "mine/metrics.h"
 #include "mine/miner.h"
+#include "output_of.h"
 #include "workflow/engine.h"
 
 namespace procmine {
@@ -101,8 +102,8 @@ TEST(StreamingReaderTest, HandlesIntervalsAndOutputs) {
     EXPECT_EQ(dict.Name(exec[0].activity), "A");  // earliest start first
     EXPECT_EQ(exec[0].start, 5);
     EXPECT_EQ(exec[0].end, 12);
-    EXPECT_EQ(exec[0].output, (std::vector<int64_t>{1, 2}));
-    EXPECT_EQ(exec[1].output, (std::vector<int64_t>{42}));
+    EXPECT_EQ(OutputOf(exec, 0), (std::vector<int64_t>{1, 2}));
+    EXPECT_EQ(OutputOf(exec, 1), (std::vector<int64_t>{42}));
     return Status::OK();
   });
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();

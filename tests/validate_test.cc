@@ -49,8 +49,8 @@ TEST(ValidateLogTest, CleanSequenceLog) {
 
 TEST(ValidateLogTest, DetectsSimultaneousStarts) {
   Execution exec("c");
-  exec.Append({0, 5, 6, {}});
-  exec.Append({1, 5, 7, {}});
+  exec.Append({0, 5, 6});
+  exec.Append({1, 5, 7});
   EventLog log;
   log.dictionary().Intern("A");
   log.dictionary().Intern("B");

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include "output_of.h"
+
 namespace procmine {
 namespace {
 
@@ -36,7 +38,7 @@ TEST(XesTest, RoundTripIntervalsAndOutputs) {
   EventLog log;
   log.dictionary().Intern("Review");
   Execution exec("case1");
-  exec.Append({0, 2, 9, {7, -3}});
+  exec.Append({0, 2, 9}, std::vector<int64_t>{7, -3});
   log.AddExecution(std::move(exec));
 
   std::string xml = ToXes(log);
@@ -48,14 +50,14 @@ TEST(XesTest, RoundTripIntervalsAndOutputs) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].start, 2);
   EXPECT_EQ(got[0].end, 9);
-  EXPECT_EQ(got[0].output, (std::vector<int64_t>{7, -3}));
+  EXPECT_EQ(OutputOf(got, 0), (std::vector<int64_t>{7, -3}));
 }
 
 TEST(XesTest, EscapesSpecialCharacters) {
   EventLog log;
   log.dictionary().Intern("A&B <joint> \"task\"");
   Execution exec("case<1>");
-  exec.Append({0, 0, 0, {}});
+  exec.Append({0, 0, 0});
   log.AddExecution(std::move(exec));
   auto back = FromXes(ToXes(log));
   ASSERT_TRUE(back.ok()) << back.status().ToString();

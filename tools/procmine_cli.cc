@@ -1446,12 +1446,10 @@ EventLog SliceLog(const EventLog& log, size_t begin, size_t end) {
   EventLog slice;
   for (size_t i = begin; i < end; ++i) {
     const Execution& exec = log.execution(i);
-    Execution copy(exec.name());
-    for (const ActivityInstance& instance : exec.instances()) {
-      ActivityInstance mapped = instance;
-      mapped.activity =
-          slice.dictionary().Intern(log.dictionary().Name(instance.activity));
-      copy.Append(std::move(mapped));
+    Execution copy = exec;
+    for (size_t k = 0; k < exec.size(); ++k) {
+      copy.Relabel(k, slice.dictionary().Intern(
+                          log.dictionary().Name(exec[k].activity)));
     }
     slice.AddExecution(std::move(copy));
   }
